@@ -40,17 +40,6 @@ void put_ann_meta(Sink& sink, const AnnIndex& index,
   io::put_u8(sink, kMetricSquaredL2);
 }
 
-template <class Sink>
-void put_ann_embeddings(Sink& sink, const tensor::Matrix& embeddings) {
-  for (std::size_t i = 0; i < embeddings.rows(); ++i)
-    for (const float v : embeddings.row_span(i)) io::put_f32(sink, v);
-}
-
-template <class Sink>
-void put_ann_neighbors(Sink& sink, std::span<const std::uint32_t> neighbors) {
-  for (const std::uint32_t v : neighbors) io::put_u32(sink, v);
-}
-
 [[noreturn]] void throw_checksum_mismatch(const char* section,
                                           std::uint64_t offset) {
   throw io::FormatError(std::string("corrupt ann index: checksum mismatch (") +
@@ -67,9 +56,9 @@ void AnnIndex::save(std::ostream& os) const {
   io::CountingSink meta_size;
   put_ann_meta(meta_size, *this, fingerprint_);
   d::FnvCountingSink emb;
-  put_ann_embeddings(emb, embeddings_);
+  io::put_f32s(emb, embeddings_.data());
   d::FnvCountingSink nbr;
-  put_ann_neighbors(nbr, neighbors_);
+  io::put_u32s(nbr, neighbors_);
 
   io::StreamSink sink{os};
   sink.bytes(d::kMagic, sizeof d::kMagic);
@@ -87,9 +76,9 @@ void AnnIndex::save(std::ostream& os) const {
     io::put_u64(sink, e.size);
   }
   put_ann_meta(sink, *this, fingerprint_);
-  put_ann_embeddings(sink, embeddings_);
+  io::put_f32s(sink, embeddings_.data());
   io::put_u64(sink, emb.hash);
-  put_ann_neighbors(sink, neighbors_);
+  io::put_u32s(sink, neighbors_);
   io::put_u64(sink, nbr.hash);
   if (!os) throw io::FormatError("stream write failure while saving ann index");
 }
@@ -148,18 +137,11 @@ AnnIndex AnnIndex::load(io::Source& src,
         if (count * dim * sizeof(float) > src.remaining_budget())
           throw io::FormatError(
               "corrupt ann index: embeddings larger than their section");
-        index.embeddings_.reshape(static_cast<std::size_t>(count),
-                                  static_cast<std::size_t>(dim));
-        // Hash the payload exactly as stored: re-serialise each decoded
-        // value's LE bytes through the checksum sink.
+        d::get_f32_matrix(src, index.embeddings_, count, dim);
+        // Hash the payload exactly as stored: the decoded values' LE bytes,
+        // one span through the checksum sink.
         d::FnvCountingSink hashed;
-        for (std::uint64_t i = 0; i < count; ++i) {
-          const auto row = index.embeddings_.row_span(i);
-          for (std::uint64_t j = 0; j < dim; ++j) {
-            row[j] = io::get_f32(src);
-            io::put_f32(hashed, row[j]);
-          }
-        }
+        io::put_f32s(hashed, index.embeddings_.data());
         if (io::get_u64(src) != hashed.hash)
           throw_checksum_mismatch("'embeddings'", section_offset);
         have_embeddings = true;
@@ -172,16 +154,13 @@ AnnIndex AnnIndex::load(io::Source& src,
         if (count * k * sizeof(std::uint32_t) > src.remaining_budget())
           throw io::FormatError(
               "corrupt ann index: neighbors larger than their section");
-        index.neighbors_.resize(static_cast<std::size_t>(count * k));
-        d::FnvCountingSink hashed;
-        for (std::uint64_t i = 0; i < count * k; ++i) {
-          const std::uint32_t v = io::get_u32(src);
+        io::get_u32s(src, index.neighbors_, count * k);
+        for (const std::uint32_t v : index.neighbors_)
           if (v >= count)
             throw io::FormatError(
                 "corrupt ann index: neighbor id out of range");
-          index.neighbors_[i] = v;
-          io::put_u32(hashed, v);
-        }
+        d::FnvCountingSink hashed;
+        io::put_u32s(hashed, index.neighbors_);
         if (io::get_u64(src) != hashed.hash)
           throw_checksum_mismatch("'neighbors'", section_offset);
         have_neighbors = true;

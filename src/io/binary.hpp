@@ -1,10 +1,11 @@
 // Low-level primitives for the pg::io binary formats.
 //
-// Every multi-byte value is written in explicit little-endian byte order
-// (assembled by shifts, never memcpy'd from host memory), so files written
-// on any host read back identically on any other. Floats travel as their
-// IEEE-754 bit patterns via the same integer paths — round trips are
-// bit-exact, including NaN payloads.
+// Every multi-byte value is written in explicit little-endian byte order,
+// so files written on any host read back identically on any other. Scalars
+// are assembled by shifts; arrays (put_u32s/get_f32s/...) move as one block
+// copy and are byte-swapped only on a big-endian host. Floats travel as
+// their IEEE-754 bit patterns — round trips are bit-exact, including NaN
+// payloads.
 //
 // Writers are templates over a Sink so the same serialisation code both
 // *measures* (CountingSink) and *emits* (StreamSink) a payload; the
@@ -16,12 +17,16 @@
 // a reader run off into a neighbouring section or the rest of the file.
 #pragma once
 
+#include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <cstring>
 #include <istream>
 #include <ostream>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace pg::io {
 
@@ -37,6 +42,24 @@ class FormatError : public std::runtime_error {
 /// graph in this project, low enough that a corrupt count fails cleanly
 /// instead of attempting a multi-gigabyte allocation.
 inline constexpr std::uint64_t kMaxReasonableCount = 1ull << 28;
+
+/// Readers size a container at most this many elements ahead of the bytes
+/// that fill it, so a corrupt count field can never drive a giant
+/// allocation before the reads that would expose it.
+inline constexpr std::uint64_t kMaxPrealloc = 1ull << 16;
+
+inline std::uint32_t byteswap32(std::uint32_t v) {
+  return (v >> 24) | ((v >> 8) & 0xff00u) | ((v << 8) & 0xff0000u) |
+         (v << 24);
+}
+
+/// The little-endian u32 stored at `p` (no alignment requirement).
+inline std::uint32_t load_u32le(const unsigned char* p) {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) v = byteswap32(v);
+  return v;
+}
 
 // --- sinks ----------------------------------------------------------------
 
@@ -99,6 +122,41 @@ void put_f64(Sink& sink, double v) {
   put_u64(sink, std::bit_cast<std::uint64_t>(v));
 }
 
+namespace detail {
+
+/// Writes 4-byte values as consecutive little-endian words: one sink call
+/// on a little-endian host, byte-swapped through a bounded buffer otherwise.
+template <class Sink, class T>
+void put_le32s(Sink& sink, std::span<const T> values) {
+  static_assert(sizeof(T) == sizeof(std::uint32_t));
+  if (values.empty()) return;
+  if constexpr (std::endian::native == std::endian::little) {
+    sink.bytes(values.data(), values.size_bytes());
+  } else {
+    std::uint32_t chunk[256];
+    for (std::size_t i = 0; i < values.size(); i += std::size(chunk)) {
+      const std::size_t n = std::min(std::size(chunk), values.size() - i);
+      for (std::size_t j = 0; j < n; ++j)
+        chunk[j] = byteswap32(std::bit_cast<std::uint32_t>(values[i + j]));
+      sink.bytes(chunk, n * sizeof(std::uint32_t));
+    }
+  }
+}
+
+}  // namespace detail
+
+/// Bulk writers: the same bytes as a put_u32/put_f32 loop over `values`,
+/// in one sink call (a few on a big-endian host). Empty spans emit nothing.
+template <class Sink>
+void put_u32s(Sink& sink, std::span<const std::uint32_t> values) {
+  detail::put_le32s(sink, values);
+}
+
+template <class Sink>
+void put_f32s(Sink& sink, std::span<const float> values) {
+  detail::put_le32s(sink, values);
+}
+
 template <class Sink>
 void put_string(Sink& sink, const std::string& s) {
   put_u32(sink, static_cast<std::uint32_t>(s.size()));
@@ -115,8 +173,9 @@ void put_string(Sink& sink, const std::string& s) {
 /// Two backings share the one implementation so every codec works on both:
 ///   * an istream (the streaming readers), and
 ///   * an in-memory byte range (the mmap-backed DatasetView decodes records
-///     straight out of the mapping — same truncation/budget discipline, so
-///     a corrupt index entry can never make a decode over-read the mapping).
+///     straight out of the mapping, the server decodes a request straight
+///     out of its frame buffer — same truncation/budget discipline, so a
+///     corrupt count can never make a decode over-read the range).
 class Source {
  public:
   explicit Source(std::istream& is) : is_(&is) {}
@@ -126,7 +185,20 @@ class Source {
   Source(const void* data, std::size_t size)
       : data_(static_cast<const unsigned char*>(data)), size_(size) {}
 
+  [[nodiscard]] bool in_memory() const { return is_ == nullptr; }
+
   void bytes(void* out, std::size_t n);
+
+  /// Throws what bytes() would for a read of `count` elements of
+  /// `elem_bytes` each, without reading: "section overrun" past the active
+  /// budget, and (memory mode only — a stream cannot know) "truncated"
+  /// past the end of the range. Lets a reader size a container only for
+  /// bytes that are there.
+  void require(std::uint64_t count, std::size_t elem_bytes) const;
+
+  /// Memory mode only: consumes the next `n` bytes and returns them in
+  /// place (valid as long as the backing range), with bytes()' checks.
+  const unsigned char* view(std::size_t n);
 
   /// Discards exactly `n` bytes (unknown forward-compatible sections).
   void skip(std::uint64_t n);
@@ -149,6 +221,9 @@ class Source {
   }
 
  private:
+  /// bytes()' checks for a read of `n` bytes (see require()).
+  void check_bytes(std::uint64_t n) const;
+
   std::istream* is_ = nullptr;          // stream backing (null in memory mode)
   const unsigned char* data_ = nullptr;  // memory backing (null in stream mode)
   std::size_t size_ = 0;                 // memory backing: total bytes
@@ -166,6 +241,24 @@ std::int64_t get_i64(Source& src);
 float get_f32(Source& src);
 double get_f64(Source& src);
 std::string get_string(Source& src);
+
+/// Bulk little-endian arrays: one budget check, one truncation check and
+/// one copy (one istream::read in stream mode) for the whole array, then a
+/// byte swap on a big-endian host only. `n == 0` reads nothing.
+void get_u32s(Source& src, std::uint32_t* out, std::size_t n);
+void get_f32s(Source& src, float* out, std::size_t n);
+
+/// The same into `out`, resized to `n` only as the bytes arrive: memory
+/// mode checks that all `n` elements are present before sizing anything;
+/// stream mode grows `out` by at most kMaxPrealloc elements per read.
+void get_u32s(Source& src, std::vector<std::uint32_t>& out, std::uint64_t n);
+void get_f32s(Source& src, std::vector<float>& out, std::uint64_t n);
+
+/// The next `n` bytes as one contiguous block: in place in memory mode,
+/// otherwise read into `staging` under get_u32s' growth rule. The pointer
+/// stays valid while the source's range (or `staging`) does.
+const unsigned char* get_block(Source& src, std::uint64_t n,
+                               std::vector<unsigned char>& staging);
 
 /// `get_u64` + sanity cap: throws FormatError when the value exceeds
 /// kMaxReasonableCount (corrupt count fields fail before they allocate).

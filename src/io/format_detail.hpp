@@ -37,14 +37,11 @@ inline constexpr std::uint32_t kIndexMarker = 0x58494750;
 inline constexpr std::uint32_t kIndexFooterMagic = 0x46494750;
 
 inline constexpr std::uint32_t kMaxSections = 64;
-// 1 GiB: far above any legitimate section/record in this project, and the
-// hard ceiling on what a crafted section-size field can make a reader
-// allocate transiently (the Matrix in get_sample_features is budget-bound).
+// 1 GiB: far above any legitimate section/record in this project. Array
+// readers never size a container ahead of the bytes that arrive by more
+// than kMaxPrealloc elements (binary.hpp), so a crafted section size bounds
+// what a reader may skip over, never what it allocates.
 inline constexpr std::uint64_t kMaxSectionBytes = 1ull << 30;
-// Containers are grown incrementally while bytes actually arrive, with at
-// most this much capacity reserved up front — so a corrupt count field can
-// never drive a giant allocation ahead of the reads that would expose it.
-inline constexpr std::uint64_t kMaxPrealloc = 1ull << 16;
 
 struct SectionEntry {
   std::uint32_t id = 0;
@@ -65,6 +62,13 @@ Prologue get_prologue(Source& src, PayloadKind expected,
                       std::uint16_t max_version);
 
 DatasetMeta get_dataset_meta(Source& src);
+
+/// Reads a rows x cols matrix of LE f32s (whose size the caller checked
+/// against the section budget) into `m`, under the array rule of
+/// get_f32s: memory mode checks every byte is there before sizing `m`; a
+/// stream larger than kMaxPrealloc elements is staged as its bytes arrive.
+void get_f32_matrix(Source& src, tensor::Matrix& m, std::uint64_t rows,
+                    std::uint64_t cols);
 
 /// The split-tag-free sample body shared by .psample sections and .pgds
 /// record frames (meta + features + relations, fully validated).

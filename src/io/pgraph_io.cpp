@@ -4,6 +4,8 @@
 #include "io/pgraph_io.hpp"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
 #include <cstring>
 #include <fstream>
@@ -128,7 +130,7 @@ template <class Sink>
 void put_sample_features(Sink& sink, const tensor::Matrix& m) {
   put_u64(sink, m.rows());
   put_u64(sink, m.cols());
-  for (float v : m.data()) put_f32(sink, v);
+  put_f32s(sink, m.data());
 }
 
 tensor::Matrix get_sample_features(Source& src) {
@@ -140,9 +142,8 @@ tensor::Matrix get_sample_features(Source& src) {
   // rows, cols <= 2^28 (get_count), so rows*cols*4 <= 2^58: no overflow.
   if (rows * cols * sizeof(float) > src.remaining_budget())
     throw FormatError("corrupt sample: feature matrix larger than its section");
-  tensor::Matrix m(static_cast<std::size_t>(rows),
-                   static_cast<std::size_t>(cols));
-  for (float& v : m.data()) v = get_f32(src);
+  tensor::Matrix m;
+  get_f32_matrix(src, m, rows, cols);
   return m;
 }
 
@@ -150,66 +151,76 @@ tensor::Matrix get_sample_features(Source& src) {
 // (src, dst, src_local, dst_local, gate) per edge — so files written by the
 // pre-CSR code are byte-identical. The redundant global/dst_local fields
 // are re-derived from the CSR arrays on write and re-validated on read.
+inline constexpr std::size_t kEdgeWords = 5;
+inline constexpr std::size_t kEdgeRecordBytes = kEdgeWords * 4;
+
+template <class Sink>
+void put_edge_block(Sink& sink, const nn::RelationEdges& rel) {
+  // Records are assembled in a bounded buffer and written a block at a time.
+  std::array<std::uint32_t, kEdgeWords * 256> buffer{};
+  std::size_t used = 0;
+  for (std::size_t g = 0; g < rel.num_groups(); ++g) {
+    const std::uint32_t dst_local = rel.group_dst[g];
+    for (std::uint32_t e = rel.group_offsets[g]; e < rel.group_offsets[g + 1];
+         ++e) {
+      if (used == buffer.size()) {
+        put_u32s(sink, buffer);
+        used = 0;
+      }
+      buffer[used++] = rel.nodes[rel.src_local[e]];
+      buffer[used++] = rel.nodes[dst_local];
+      buffer[used++] = rel.src_local[e];
+      buffer[used++] = dst_local;
+      buffer[used++] = std::bit_cast<std::uint32_t>(rel.gate[e]);
+    }
+  }
+  put_u32s(sink, std::span<const std::uint32_t>(buffer.data(), used));
+}
+
 template <class Sink>
 void put_sample_relations(Sink& sink, const nn::RelationalGraph& rg) {
   put_u64(sink, rg.num_nodes);
   put_u32(sink, static_cast<std::uint32_t>(rg.relations.size()));
   for (const nn::RelationEdges& rel : rg.relations) {
     put_u64(sink, rel.num_edges());
-    for (std::size_t g = 0; g < rel.num_groups(); ++g) {
-      const std::uint32_t dst_local = rel.group_dst[g];
-      for (std::uint32_t e = rel.group_offsets[g]; e < rel.group_offsets[g + 1];
-           ++e) {
-        put_u32(sink, rel.nodes[rel.src_local[e]]);
-        put_u32(sink, rel.nodes[dst_local]);
-        put_u32(sink, rel.src_local[e]);
-        put_u32(sink, dst_local);
-        put_f32(sink, rel.gate[e]);
-      }
-    }
+    put_edge_block(sink, rel);
     put_u64(sink, rel.nodes.size());
-    for (std::uint32_t v : rel.nodes) put_u32(sink, v);
+    put_u32s(sink, rel.nodes);
     put_u64(sink, rel.group_offsets.size());
-    for (std::uint32_t v : rel.group_offsets) put_u32(sink, v);
+    put_u32s(sink, rel.group_offsets);
     put_u64(sink, rel.group_dst.size());
-    for (std::uint32_t v : rel.group_dst) put_u32(sink, v);
+    put_u32s(sink, rel.group_dst);
   }
 }
 
 /// Reads one relation and verifies every invariant RelationEdges::from_edges
 /// guarantees, so corrupt files cannot smuggle out-of-range indices into the
 /// RGAT gather/scatter kernels. The redundant on-disk per-edge fields
-/// (global src/dst, dst_local) are cross-checked against the CSR arrays and
-/// then dropped — the in-memory target is the flat SoA form.
+/// (global src/dst, dst_local) are cross-checked against the CSR arrays
+/// straight from the edge block (in place in memory mode) and then dropped —
+/// the in-memory target is the flat SoA form.
 nn::RelationEdges get_relation(Source& src, std::uint64_t num_global_nodes) {
   nn::RelationEdges rel;
-  std::vector<std::uint32_t> src_global;
-  std::vector<std::uint32_t> dst_global;
-  std::vector<std::uint32_t> dst_local;
-  const std::uint64_t num_edges = get_count(src, "relation edge count", 20);
-  const std::uint64_t prealloc = std::min(num_edges, kMaxPrealloc);
-  rel.src_local.reserve(prealloc);
-  rel.gate.reserve(prealloc);
-  src_global.reserve(prealloc);
-  dst_global.reserve(prealloc);
-  dst_local.reserve(prealloc);
-  for (std::uint64_t i = 0; i < num_edges; ++i) {
-    src_global.push_back(get_u32(src));
-    dst_global.push_back(get_u32(src));
-    rel.src_local.push_back(get_u32(src));
-    dst_local.push_back(get_u32(src));
-    const float gate = get_f32(src);
+  const std::uint64_t num_edges =
+      get_count(src, "relation edge count", kEdgeRecordBytes);
+  std::vector<unsigned char> staging;
+  const unsigned char* block =
+      get_block(src, num_edges * kEdgeRecordBytes, staging);
+  auto field = [block](std::size_t edge, std::size_t word) {
+    return load_u32le(block + edge * kEdgeRecordBytes + word * 4);
+  };
+  rel.src_local.resize(num_edges);
+  rel.gate.resize(num_edges);
+  for (std::size_t i = 0; i < num_edges; ++i) {
+    rel.src_local[i] = field(i, 2);
+    const float gate = std::bit_cast<float>(field(i, 4));
     if (!std::isfinite(gate))
       throw FormatError("corrupt relation: non-finite edge gate");
-    rel.gate.push_back(gate);
+    rel.gate[i] = gate;
   }
-  auto read_u32s = [&src](std::vector<std::uint32_t>& out, std::uint64_t n) {
-    out.reserve(std::min(n, kMaxPrealloc));
-    for (std::uint64_t i = 0; i < n; ++i) out.push_back(get_u32(src));
-  };
-  read_u32s(rel.nodes, get_count(src, "relation node count", 4));
-  read_u32s(rel.group_offsets, get_count(src, "relation offset count", 4));
-  read_u32s(rel.group_dst, get_count(src, "relation group count", 4));
+  get_u32s(src, rel.nodes, get_count(src, "relation node count", 4));
+  get_u32s(src, rel.group_offsets, get_count(src, "relation offset count", 4));
+  get_u32s(src, rel.group_dst, get_count(src, "relation group count", 4));
 
   for (std::size_t i = 0; i < rel.nodes.size(); ++i) {
     if (rel.nodes[i] >= num_global_nodes)
@@ -231,13 +242,14 @@ nn::RelationEdges get_relation(Source& src, std::uint64_t num_global_nodes) {
       throw FormatError("corrupt relation: group dst out of range");
     for (std::uint32_t i = rel.group_offsets[g]; i < rel.group_offsets[g + 1];
          ++i) {
+      const std::uint32_t dst_local = field(i, 3);
       if (rel.src_local[i] >= rel.nodes.size() ||
-          dst_local[i] >= rel.nodes.size())
+          dst_local >= rel.nodes.size())
         throw FormatError("corrupt relation: local index out of range");
-      if (dst_local[i] != rel.group_dst[g])
+      if (dst_local != rel.group_dst[g])
         throw FormatError("corrupt relation: edge outside its dst group");
-      if (src_global[i] != rel.nodes[rel.src_local[i]] ||
-          dst_global[i] != rel.nodes[dst_local[i]])
+      if (field(i, 0) != rel.nodes[rel.src_local[i]] ||
+          field(i, 1) != rel.nodes[dst_local])
         throw FormatError("corrupt relation: local/global id mismatch");
     }
   }
@@ -362,6 +374,21 @@ DatasetMeta get_dataset_meta(Source& src) {
   return meta;
 }
 
+void get_f32_matrix(Source& src, tensor::Matrix& m, std::uint64_t rows,
+                    std::uint64_t cols) {
+  const std::uint64_t n = rows * cols;
+  if (src.in_memory() || n <= kMaxPrealloc) {
+    src.require(n, sizeof(float));
+    m.reshape(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
+    get_f32s(src, m.data().data(), static_cast<std::size_t>(n));
+    return;
+  }
+  std::vector<float> staged;
+  get_f32s(src, staged, n);
+  m.reshape(static_cast<std::size_t>(rows), static_cast<std::size_t>(cols));
+  std::copy(staged.begin(), staged.end(), m.data().begin());
+}
+
 model::TrainingSample get_sample_body(Source& src) {
   model::TrainingSample s;
   get_sample_meta(src, s);
@@ -477,8 +504,9 @@ void write_sample(std::ostream& os, const model::TrainingSample& sample) {
   throw_on_stream_error(os);
 }
 
-model::TrainingSample read_sample(std::istream& is) {
-  Source src(is);
+namespace {
+
+model::TrainingSample read_sample(Source& src) {
   const auto prologue = get_prologue(src, PayloadKind::kSample, kFormatVersion);
 
   model::TrainingSample sample;
@@ -510,6 +538,18 @@ model::TrainingSample read_sample(std::istream& is) {
   if (sample.graph.features.rows() != sample.graph.relations.num_nodes)
     throw FormatError("corrupt sample: feature rows != relation graph nodes");
   return sample;
+}
+
+}  // namespace
+
+model::TrainingSample read_sample(std::istream& is) {
+  Source src(is);
+  return read_sample(src);
+}
+
+model::TrainingSample read_sample(const void* data, std::size_t size) {
+  Source src(data, size);
+  return read_sample(src);
 }
 
 // --- datasets -------------------------------------------------------------

@@ -70,6 +70,10 @@ graph::ProgramGraph read_graph_file(const std::string& path);
 
 void write_sample(std::ostream& os, const model::TrainingSample& sample);
 model::TrainingSample read_sample(std::istream& is);
+/// Decodes a .psample held in memory, in place: nothing is copied up front
+/// and no array is sized before its bytes are checked to be there. Same
+/// validation and FormatError text as the stream reader.
+model::TrainingSample read_sample(const void* data, std::size_t size);
 void write_sample_file(const std::string& path, const model::TrainingSample& sample);
 model::TrainingSample read_sample_file(const std::string& path);
 

@@ -1,11 +1,10 @@
 // Frame header/payload codecs for the serve protocol. Byte order is
-// assembled with the pg::io little-endian primitives over an in-memory
-// sink/source, so the wire format shares one endianness implementation with
-// the on-disk containers.
+// assembled with the pg::io little-endian primitives over in-memory sinks
+// and memory-backed io::Sources, so the wire format shares one endianness
+// implementation with the on-disk containers.
 #include "serve/protocol.hpp"
 
 #include <cstring>
-#include <sstream>
 
 #include "io/binary.hpp"
 
@@ -21,6 +20,16 @@ struct VectorSink {
     const std::size_t old_size = out.size();
     out.resize(old_size + n);
     std::memcpy(out.data() + old_size, data, n);
+  }
+};
+
+/// Sink writing into a fixed buffer the caller sized for everything it
+/// emits.
+struct BufferSink {
+  std::uint8_t* out;
+  void bytes(const void* data, std::size_t n) {
+    std::memcpy(out, data, n);
+    out += n;
   }
 };
 
@@ -52,25 +61,20 @@ std::string_view error_code_name(ErrorCode code) {
 
 void encode_header(const FrameHeader& header,
                    std::uint8_t out[kFrameHeaderBytes]) {
-  std::vector<std::uint8_t> buffer;
-  buffer.reserve(kFrameHeaderBytes);
-  VectorSink sink{buffer};
+  BufferSink sink{out};
   sink.bytes(kFrameMagic, sizeof kFrameMagic);
   io::put_u16(sink, header.version);
   io::put_u16(sink, static_cast<std::uint16_t>(header.kind));
   io::put_u64(sink, header.request_id);
   io::put_u64(sink, header.payload_bytes);
-  std::memcpy(out, buffer.data(), kFrameHeaderBytes);
 }
 
 HeaderVerdict decode_header(const std::uint8_t bytes[kFrameHeaderBytes],
                             FrameHeader& out) {
   if (std::memcmp(bytes, kFrameMagic, sizeof kFrameMagic) != 0)
     return HeaderVerdict::kBadMagic;
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(bytes) + sizeof kFrameMagic,
-                  kFrameHeaderBytes - sizeof kFrameMagic));
-  io::Source src(is);
+  io::Source src(bytes + sizeof kFrameMagic,
+                 kFrameHeaderBytes - sizeof kFrameMagic);
   out.version = io::get_u16(src);
   out.kind = static_cast<FrameKind>(io::get_u16(src));
   out.request_id = io::get_u64(src);
@@ -116,9 +120,7 @@ std::vector<std::uint8_t> encode_error_reply_payload(const ErrorReply& reply) {
 std::optional<PredictReply> decode_predict_reply_payload(
     const std::uint8_t* payload, std::size_t payload_bytes) {
   if (payload_bytes != 16) return std::nullopt;
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(payload), payload_bytes));
-  io::Source src(is);
+  io::Source src(payload, payload_bytes);
   PredictReply reply;
   reply.scaled = io::get_f64(src);
   reply.runtime_us = io::get_f64(src);
@@ -129,9 +131,7 @@ std::optional<ErrorReply> decode_error_reply_payload(
     const std::uint8_t* payload, std::size_t payload_bytes) {
   if (payload_bytes < 6 || payload_bytes > kMaxFramePayload)
     return std::nullopt;
-  std::istringstream is(
-      std::string(reinterpret_cast<const char*>(payload), payload_bytes));
-  io::Source src(is);
+  io::Source src(payload, payload_bytes);
   ErrorReply reply;
   try {
     src.push_budget(payload_bytes);

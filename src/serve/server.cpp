@@ -12,7 +12,6 @@
 #include <cerrno>
 #include <chrono>
 #include <cstring>
-#include <sstream>
 #include <utility>
 
 #include "io/pgraph_io.hpp"
@@ -446,8 +445,9 @@ void Server::process_frame(const ConnectionPtr& conn,
       pending.conn = conn;
       pending.request_id = header.request_id;
       try {
-        std::istringstream is(frame.payload);
-        model::TrainingSample sample = io::read_sample(is);
+        // Decoded in place from the frame buffer: no stream, no copy.
+        model::TrainingSample sample =
+            io::read_sample(frame.payload.data(), frame.payload.size());
         pending.graph = std::move(sample.graph);
         pending.aux = sample.aux;
         if (cache_ != nullptr) pending.bytes = std::move(frame.payload);

@@ -1,20 +1,27 @@
 // pg::io regression suite over the checked-in golden corpus
 // (tests/golden/): byte-exact round trips for all three payload kinds,
 // rejection of bad magic / versions / schema hashes, truncation and
-// corrupt-section-table error paths, and the graph builder pinned against
-// the golden text dumps (any encoder/builder drift fails here first).
+// corrupt-section-table error paths, the graph builder pinned against
+// the golden text dumps (any encoder/builder drift fails here first), the
+// bulk array primitives, memory-vs-stream reader parity, and the bound on
+// what a corrupt count can make a reader allocate.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdint>
 #include <fstream>
 #include <map>
+#include <optional>
 #include <sstream>
+#include <streambuf>
 #include <string>
 #include <vector>
 
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
 #include "io/binary.hpp"
+#include "io/dataset_view.hpp"
+#include "io/format_detail.hpp"
 #include "io/pgraph_io.hpp"
 #include "model/encoding.hpp"
 
@@ -544,6 +551,339 @@ TEST(IoProbe, ReportsKindForAllGoldenKinds) {
             io::PayloadKind::kSample);
   EXPECT_EQ(io::probe_file(golden_path("corpus.pgds")).kind,
             io::PayloadKind::kDataset);
+}
+
+// --- bulk array primitives ------------------------------------------------
+
+/// Runs `body` over a memory-backed and a stream-backed Source holding the
+/// same bytes, so every primitive test covers both backings.
+template <class Body>
+void for_both_sources(const Bytes& bytes, Body body) {
+  {
+    io::Source src(bytes.data(), bytes.size());
+    SCOPED_TRACE("memory source");
+    body(src);
+  }
+  {
+    std::istringstream is(bytes, std::ios::binary);
+    io::Source src(is);
+    SCOPED_TRACE("stream source");
+    body(src);
+  }
+}
+
+/// nullopt when `read` ran through, else its FormatError text.
+template <class Read>
+std::optional<std::string> outcome_of(Read read) {
+  try {
+    (void)read();
+  } catch (const io::FormatError& e) {
+    return std::string(e.what());
+  }
+  return std::nullopt;
+}
+
+/// The FormatError text `f` throws ("" when it does not throw).
+template <class F>
+std::string error_of(F f) {
+  return outcome_of(f).value_or("");
+}
+
+TEST(IoArrays, DecodesKnownLittleEndianBytesBitExactly) {
+  // 0x04030201, a quiet NaN with payload 0x1234, a signalling NaN with
+  // payload 1, and -0.0f — each stored little-endian.
+  const Bytes bytes("\x01\x02\x03\x04"
+                    "\x34\x12\xc0\x7f"
+                    "\x01\x00\x80\x7f"
+                    "\x00\x00\x00\x80",
+                    16);
+  const std::uint32_t words[4] = {0x04030201u, 0x7fc01234u, 0x7f800001u,
+                                  0x80000000u};
+  for_both_sources(bytes, [&](io::Source& src) {
+    std::uint32_t u[4] = {};
+    io::get_u32s(src, u, 4);
+    for (int i = 0; i < 4; ++i) EXPECT_EQ(u[i], words[i]) << i;
+    EXPECT_EQ(src.consumed(), 16u);
+  });
+  for_both_sources(bytes, [&](io::Source& src) {
+    std::vector<float> f;
+    io::get_f32s(src, f, 4);
+    ASSERT_EQ(f.size(), 4u);
+    for (int i = 0; i < 4; ++i)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(f[i]), words[i]) << i;
+  });
+  for_both_sources(bytes, [&](io::Source& src) {
+    float f[4] = {};
+    io::get_f32s(src, f, 4);
+    for (int i = 0; i < 4; ++i)
+      EXPECT_EQ(std::bit_cast<std::uint32_t>(f[i]), words[i]) << i;
+  });
+  for_both_sources(bytes, [&](io::Source& src) {
+    std::vector<std::uint32_t> u;
+    io::get_u32s(src, u, 4);
+    EXPECT_EQ(u, std::vector<std::uint32_t>(words, words + 4));
+  });
+}
+
+TEST(IoArrays, TruncationInsideAnArrayThrowsTruncated) {
+  const Bytes bytes(10, '\x07');  // two and a half u32s
+  for_both_sources(bytes, [&](io::Source& src) {
+    std::vector<std::uint32_t> u;
+    const std::string what = error_of([&] { io::get_u32s(src, u, 3); });
+    EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  });
+  for_both_sources(bytes, [&](io::Source& src) {
+    float f[3];
+    const std::string what = error_of([&] { io::get_f32s(src, f, 3); });
+    EXPECT_NE(what.find("truncated"), std::string::npos) << what;
+  });
+}
+
+TEST(IoArrays, ArrayPastTheBudgetThrowsSectionOverrun) {
+  const Bytes bytes(64, '\x01');
+  for_both_sources(bytes, [&](io::Source& src) {
+    src.push_budget(8);
+    std::vector<std::uint32_t> u;
+    const std::string what = error_of([&] { io::get_u32s(src, u, 3); });
+    EXPECT_NE(what.find("section overrun"), std::string::npos) << what;
+    EXPECT_EQ(src.consumed(), 0u) << "nothing may be read past the check";
+  });
+  for_both_sources(bytes, [&](io::Source& src) {
+    src.push_budget(8);
+    float f[3];
+    const std::string what = error_of([&] { io::get_f32s(src, f, 3); });
+    EXPECT_NE(what.find("section overrun"), std::string::npos) << what;
+  });
+}
+
+TEST(IoArrays, ZeroLengthArraysAreNoOps) {
+  for_both_sources(Bytes(), [&](io::Source& src) {
+    std::vector<std::uint32_t> u{1, 2, 3};
+    std::vector<float> f{1.0f};
+    io::get_u32s(src, u, 0);
+    io::get_f32s(src, f, 0);
+    io::get_u32s(src, u.data(), 0);
+    io::get_f32s(src, f.data(), 0);
+    EXPECT_TRUE(u.empty());
+    EXPECT_TRUE(f.empty());
+    EXPECT_EQ(src.consumed(), 0u);
+  });
+  io::CountingSink counted;
+  io::put_u32s(counted, std::span<const std::uint32_t>());
+  io::put_f32s(counted, std::span<const float>());
+  EXPECT_EQ(counted.count, 0u);
+}
+
+TEST(IoArrays, BulkWritesMatchElementWiseWrites) {
+  // Longer than any internal staging buffer, with NaN payloads and -0.0f.
+  std::vector<std::uint32_t> words(1031);
+  std::vector<float> floats(words.size());
+  for (std::size_t i = 0; i < words.size(); ++i) {
+    words[i] = static_cast<std::uint32_t>(i * 2654435761u);
+    floats[i] = std::bit_cast<float>(words[i] ^ 0x7fc00000u);
+  }
+  floats[3] = -0.0f;
+
+  auto element_wise = [&](auto& sink) {
+    for (const std::uint32_t v : words) io::put_u32(sink, v);
+    for (const float v : floats) io::put_f32(sink, v);
+  };
+  auto bulk = [&](auto& sink) {
+    io::put_u32s(sink, words);
+    io::put_f32s(sink, floats);
+  };
+
+  std::ostringstream a(std::ios::binary), b(std::ios::binary);
+  io::StreamSink sink_a{a}, sink_b{b};
+  element_wise(sink_a);
+  bulk(sink_b);
+  EXPECT_EQ(a.str(), b.str());
+
+  io::CountingSink count_a, count_b;
+  element_wise(count_a);
+  bulk(count_b);
+  EXPECT_EQ(count_a.count, count_b.count);
+  EXPECT_EQ(count_b.count, a.str().size());
+
+  io::detail::FnvCountingSink fnv_a, fnv_b;
+  element_wise(fnv_a);
+  bulk(fnv_b);
+  EXPECT_EQ(fnv_a.count, fnv_b.count);
+  EXPECT_EQ(fnv_a.hash, fnv_b.hash);
+
+  // And the bytes decode back to the same bits.
+  const Bytes bytes = b.str();
+  io::Source src(bytes.data(), bytes.size());
+  std::vector<std::uint32_t> u;
+  std::vector<float> f;
+  io::get_u32s(src, u, words.size());
+  io::get_f32s(src, f, floats.size());
+  EXPECT_EQ(u, words);
+  for (std::size_t i = 0; i < floats.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(f[i]),
+              std::bit_cast<std::uint32_t>(floats[i]))
+        << i;
+}
+
+// --- memory vs stream entry points ----------------------------------------
+
+/// Read-only streambuf over caller-owned bytes: stream-mode decodes of
+/// every prefix without copying each prefix into an istringstream.
+class MemoryBuf : public std::streambuf {
+ public:
+  MemoryBuf(const char* data, std::size_t size) {
+    char* p = const_cast<char*>(data);  // get area only; never written
+    setg(p, p, p + size);
+  }
+};
+
+void expect_bitwise_equal(const model::TrainingSample& a,
+                          const model::TrainingSample& b,
+                          const std::string& what) {
+  SCOPED_TRACE(what);
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(a.aux[0]),
+            std::bit_cast<std::uint32_t>(b.aux[0]));
+  EXPECT_EQ(std::bit_cast<std::uint32_t>(a.aux[1]),
+            std::bit_cast<std::uint32_t>(b.aux[1]));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.target_scaled),
+            std::bit_cast<std::uint64_t>(b.target_scaled));
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.runtime_us),
+            std::bit_cast<std::uint64_t>(b.runtime_us));
+  EXPECT_EQ(a.app_id, b.app_id);
+  EXPECT_EQ(a.app_name, b.app_name);
+  EXPECT_EQ(a.variant, b.variant);
+
+  const tensor::Matrix& fa = a.graph.features;
+  const tensor::Matrix& fb = b.graph.features;
+  ASSERT_EQ(fa.rows(), fb.rows());
+  ASSERT_EQ(fa.cols(), fb.cols());
+  for (std::size_t i = 0; i < fa.size(); ++i)
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(fa.data()[i]),
+              std::bit_cast<std::uint32_t>(fb.data()[i]))
+        << "feature " << i;
+
+  const nn::RelationalGraph& ra = a.graph.relations;
+  const nn::RelationalGraph& rb = b.graph.relations;
+  EXPECT_EQ(ra.num_nodes, rb.num_nodes);
+  ASSERT_EQ(ra.relations.size(), rb.relations.size());
+  for (std::size_t r = 0; r < ra.relations.size(); ++r) {
+    const nn::RelationEdges& x = ra.relations[r];
+    const nn::RelationEdges& y = rb.relations[r];
+    EXPECT_EQ(x.src_local, y.src_local) << "relation " << r;
+    EXPECT_EQ(x.nodes, y.nodes) << "relation " << r;
+    EXPECT_EQ(x.group_offsets, y.group_offsets) << "relation " << r;
+    EXPECT_EQ(x.group_dst, y.group_dst) << "relation " << r;
+    ASSERT_EQ(x.gate.size(), y.gate.size()) << "relation " << r;
+    for (std::size_t e = 0; e < x.gate.size(); ++e)
+      ASSERT_EQ(std::bit_cast<std::uint32_t>(x.gate[e]),
+                std::bit_cast<std::uint32_t>(y.gate[e]))
+          << "relation " << r << " gate " << e;
+  }
+}
+
+std::vector<std::string> golden_sample_names() {
+  Manifest manifest;
+  read_manifest(manifest);
+  std::vector<std::string> names;
+  for (const ManifestEntry& entry : manifest.entries)
+    names.push_back(entry.name + ".psample");
+  return names;
+}
+
+TEST(IoEntryPoints, MemoryAndStreamSampleReadersAgreeBitwise) {
+  const std::vector<std::string> names = golden_sample_names();
+  ASSERT_FALSE(names.empty());
+  for (const std::string& name : names) {
+    const Bytes bytes = slurp(golden_path(name));
+    std::istringstream is(bytes, std::ios::binary);
+    const model::TrainingSample streamed = io::read_sample(is);
+    const model::TrainingSample mapped =
+        io::read_sample(bytes.data(), bytes.size());
+    expect_bitwise_equal(streamed, mapped, name);
+  }
+}
+
+TEST(IoEntryPoints, MemoryAndStreamDatasetRecordsAgreeBitwise) {
+  for (const char* name : {"corpus.pgds", "corpus_v2.pgds"}) {
+    const Bytes bytes = slurp(golden_path(name));
+    std::istringstream is(bytes, std::ios::binary);
+    io::DatasetReader reader(is);
+    const io::DatasetView view(bytes.data(), bytes.size());
+    model::TrainingSample streamed, mapped;
+    io::Split split = io::Split::kTrain;
+    std::size_t i = 0;
+    while (reader.next(streamed, split)) {
+      ASSERT_LT(i, view.size()) << name;
+      view.decode(i, mapped);
+      EXPECT_EQ(view.split(i), split);
+      expect_bitwise_equal(streamed, mapped,
+                           std::string(name) + " record " + std::to_string(i));
+      ++i;
+    }
+    EXPECT_EQ(i, view.size()) << name;
+    EXPECT_GT(i, 0u) << name;
+  }
+}
+
+TEST(IoEntryPoints, EveryTruncationFailsAlikeOnBothReaders) {
+  for (const std::string& name : golden_sample_names()) {
+    const Bytes bytes = slurp(golden_path(name));
+    for (std::size_t len = 0; len <= bytes.size(); ++len) {
+      const auto from_memory = outcome_of(
+          [&] { return io::read_sample(bytes.data(), len); });
+      MemoryBuf buf(bytes.data(), len);
+      std::istream is(&buf);
+      const auto from_stream = outcome_of([&] { return io::read_sample(is); });
+      ASSERT_EQ(from_memory, from_stream) << name << " prefix " << len;
+      // Only the whole file decodes; every proper prefix is rejected.
+      ASSERT_EQ(from_memory.has_value(), len < bytes.size())
+          << name << " prefix " << len;
+    }
+  }
+}
+
+// --- allocation bound -----------------------------------------------------
+
+/// matvec_cpu.psample with its features section and feature-row count
+/// claiming ~1 GiB of floats, then cut a few bytes into that data: a reader
+/// that sized the matrix from the count before the bytes arrived would
+/// allocate (and zero) about a gigabyte before noticing the truncation.
+Bytes oversized_feature_claim() {
+  Bytes bytes = slurp(golden_path("matvec_cpu.psample"));
+  auto u64_at = [&bytes](std::size_t off) {
+    std::uint64_t v = 0;
+    for (std::size_t i = 0; i < 8; ++i)
+      v |= static_cast<std::uint64_t>(
+               static_cast<unsigned char>(bytes[off + i]))
+           << (8 * i);
+    return v;
+  };
+  auto put_u64_at = [&bytes](std::size_t off, std::uint64_t v) {
+    for (std::size_t i = 0; i < 8; ++i)
+      bytes[off + i] = static_cast<char>(v >> (8 * i));
+  };
+  // Table entries (u32 id + u64 size) start at 24: meta, features, ...
+  const std::size_t features_size_off = 24 + 12 + 4;
+  const std::size_t meta_size = u64_at(24 + 4);
+  const std::size_t features_start = 24 + 3 * 12 + meta_size;
+  const std::uint64_t section = (1ull << 30) - 64;  // under kMaxSectionBytes
+  const std::uint64_t rows =
+      (section - 16) / (model::kNodeFeatureDim * sizeof(float));
+  EXPECT_EQ(u64_at(features_start + 8), model::kNodeFeatureDim);
+  put_u64_at(features_size_off, section);
+  put_u64_at(features_start, rows);  // rows; cols stays kNodeFeatureDim
+  bytes.resize(features_start + 16 + 12);  // a few real feature bytes
+  return bytes;
+}
+
+TEST(IoAllocationBound, CorruptFeatureRowCountCannotSizeTheMatrix) {
+  const Bytes bytes = oversized_feature_claim();
+  std::istringstream is(bytes, std::ios::binary);
+  const std::string streamed = error_of([&] { (void)io::read_sample(is); });
+  EXPECT_NE(streamed.find("truncated"), std::string::npos) << streamed;
+  const std::string mapped =
+      error_of([&] { (void)io::read_sample(bytes.data(), bytes.size()); });
+  EXPECT_EQ(mapped, streamed);
 }
 
 }  // namespace
