@@ -59,15 +59,6 @@ constexpr std::uint64_t kChunkOversubscribe = 4;
 /// out instead — one big graph must scale past one core.
 constexpr std::uint64_t kIntraCostThreshold = 4 * kChunkCostBudget;
 
-/// Arena bound per thread. Varied traffic (every chunk composition is a new
-/// block-diagonal shape) would otherwise grow the shape-keyed arena for the
-/// engine's whole lifetime. The arena is dropped once it exceeds BOTH this
-/// cap and twice its post-reset single-pass footprint — the second condition
-/// keeps a legitimately large working set (one chunk bigger than the cap)
-/// from thrashing allocate/free on every call. Purely a memory bound —
-/// results are unaffected.
-constexpr std::size_t kArenaCapBytes = 64u << 20;
-
 }  // namespace
 
 InferenceEngine::InferenceEngine(const ParaGraphModel& model)
@@ -95,11 +86,6 @@ void InferenceEngine::run_chunk(std::span<const EncodedGraph* const> graphs,
                                 tensor::Matrix* embed_out, std::size_t lo,
                                 std::size_t hi) {
   ThreadState& ts = state_for_current_thread();
-  if (ts.arena_baseline > 0 &&
-      ts.ws.bytes_reserved() > std::max(kArenaCapBytes, 2 * ts.arena_baseline)) {
-    ts.ws = tensor::Workspace();
-    ts.arena_baseline = 0;
-  }
   ts.batch.pack(graphs.subspan(lo, hi - lo));
   if (embed_out != nullptr) {
     // Embed-only pass: stop at the pooled rows and scatter them into the
@@ -118,7 +104,6 @@ void InferenceEngine::run_chunk(std::span<const EncodedGraph* const> graphs,
     }
     model_->predict_batch(ts.batch, ts.aux, out.subspan(lo, hi - lo), ts.ws);
   }
-  if (ts.arena_baseline == 0) ts.arena_baseline = ts.ws.bytes_reserved();
 }
 
 void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,

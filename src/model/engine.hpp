@@ -130,7 +130,6 @@ class InferenceEngine {
     std::vector<std::uint32_t> bounds;     // chunk boundaries scratch
     std::vector<std::uint32_t> small_chunks;  // phase-1 (chunk-parallel)
     std::vector<std::uint32_t> big_chunks;    // phase-2 (intra-parallel)
-    std::size_t arena_baseline = 0;  // ws footprint after last reset's pass
   };
 
   ThreadState& state_for_current_thread();

@@ -42,15 +42,6 @@ constexpr std::uint64_t kGradChunkCostTarget = 512;
 /// memory (each chunk holds a full parameter-shaped accumulator).
 constexpr std::size_t kMaxGradChunks = 64;
 
-/// Arena bound per gradient chunk. Shuffling re-composes every chunk each
-/// step, so the shape-keyed grow-only Workspace would otherwise accrete a
-/// bucket per never-seen block-diagonal shape for the whole run. The arena
-/// is dropped once it exceeds BOTH this cap and twice its post-reset
-/// single-step footprint (so a legitimately large chunk never thrashes);
-/// the trigger depends only on the (deterministic) shape history, so
-/// training stays bitwise-reproducible.
-constexpr std::size_t kChunkArenaCapBytes = 16u << 20;
-
 double evaluate_rmse_us(InferenceEngine& engine,
                         const std::vector<TrainingSample>& samples,
                         const SampleSet& set,
@@ -73,7 +64,6 @@ struct ChunkState {
   tensor::Matrix aux;                     // [chunk x 2]
   std::vector<const EncodedGraph*> graphs;
   std::vector<double> targets;
-  std::size_t arena_baseline = 0;  // ws footprint after last reset's step
 };
 
 /// The optimisation core shared by the in-RAM and streaming trainers: one
@@ -120,12 +110,6 @@ class BatchStepper {
       const std::size_t lo = bounds_[c];
       const std::size_t hi = bounds_[c + 1];
       ChunkState& chunk = chunks_[c];
-      if (chunk.arena_baseline > 0 &&
-          chunk.ws.bytes_reserved() >
-              std::max(kChunkArenaCapBytes, 2 * chunk.arena_baseline)) {
-        chunk.ws = tensor::Workspace();
-        chunk.arena_baseline = 0;
-      }
       chunk.graphs.clear();
       chunk.targets.clear();
       chunk.aux.reshape(hi - lo, 2);
@@ -141,8 +125,6 @@ class BatchStepper {
       chunk_loss_[c] = model_.accumulate_gradients_batch(
           chunk.batch, chunk.aux, chunk.targets, grad_scale, chunk.grads,
           chunk.ws);
-      if (chunk.arena_baseline == 0)
-        chunk.arena_baseline = chunk.ws.bytes_reserved();
     }
 
     // Ordered reduction: chunk 0 hosts the sum; losses and gradient

@@ -13,6 +13,7 @@
 
 #include <cstddef>
 #include <new>
+#include <utility>
 
 namespace pg::tensor::simd {
 
@@ -38,6 +39,18 @@ struct AlignedAllocator {
   }
   void deallocate(T* p, std::size_t n) noexcept {
     ::operator delete(p, n * sizeof(T), std::align_val_t{kAlignBytes});
+  }
+
+  /// Default-initialises: resize(n) leaves new floats unset, so a
+  /// Workspace slot that grows within its capacity is not zero-filled
+  /// (acquire() zeroes explicitly; Matrix(rows, cols, fill) still fills).
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+  template <typename U, typename... Args>
+  void construct(U* p, Args&&... args) {
+    ::new (static_cast<void*>(p)) U(std::forward<Args>(args)...);
   }
 };
 

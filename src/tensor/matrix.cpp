@@ -49,9 +49,14 @@ void Matrix::reshape(std::size_t rows, std::size_t cols) {
   rows_ = rows;
   cols_ = cols;
   // vector keeps capacity: grow-only allocation, padded per the simd
-  // alignment contract so growth lands on whole-vector boundaries.
-  data_.reserve(simd::padded_floats(rows * cols));
-  data_.resize(rows * cols);
+  // alignment contract so growth lands on whole-vector boundaries. The
+  // contents are unspecified, so growth drops them rather than copying.
+  const std::size_t n = rows * cols;
+  if (n > data_.capacity()) {
+    data_.clear();
+    data_.reserve(simd::padded_floats(n));
+  }
+  data_.resize(n);
 }
 
 Matrix& Matrix::add_(const Matrix& other) {

@@ -1,5 +1,7 @@
-// Shape-keyed Matrix arena: acquire/reset with grow-only slot storage.
+// Order-keyed Matrix arena: acquire/reset with grow-only slot storage.
 #include "tensor/workspace.hpp"
+
+#include <cstdint>
 
 #include "support/check.hpp"
 
@@ -14,22 +16,16 @@ Matrix& Workspace::acquire(std::size_t rows, std::size_t cols) {
 Matrix& Workspace::acquire_uninit(std::size_t rows, std::size_t cols) {
   check(rows < (std::uint64_t{1} << 32) && cols < (std::uint64_t{1} << 32),
         "Workspace::acquire: dimension too large");
-  const std::uint64_t key = (static_cast<std::uint64_t>(rows) << 32) |
-                            static_cast<std::uint64_t>(cols);
-  Bucket& bucket = buckets_[key];
   ++num_acquires_;
-  if (bucket.in_use == 0) active_.push_back(&bucket);
-  if (bucket.in_use == bucket.slots.size()) {
-    bucket.slots.push_back(std::make_unique<Matrix>(rows, cols));
-    ++num_slots_;
-    bytes_reserved_ += rows * cols * sizeof(float);
+  if (next_ == slots_.size()) slots_.push_back(std::make_unique<Slot>());
+  Slot& slot = *slots_[next_++];
+  const std::size_t n = rows * cols;
+  if (n > slot.high_water) {
+    bytes_reserved_ += (n - slot.high_water) * sizeof(float);
+    slot.high_water = n;
   }
-  return *bucket.slots[bucket.in_use++];
-}
-
-void Workspace::reset() {
-  for (Bucket* bucket : active_) bucket->in_use = 0;
-  active_.clear();
+  slot.matrix.reshape(rows, cols);
+  return slot.matrix;
 }
 
 }  // namespace pg::tensor

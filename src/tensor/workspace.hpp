@@ -1,25 +1,28 @@
-// Grow-only arena of Matrix buffers, keyed by shape — the allocation-free
-// substrate under every forward/backward pass.
+// Grow-only arena of Matrix buffers, keyed by acquisition order — the
+// allocation-free substrate under every forward/backward pass.
 //
 // Usage contract:
 //   * acquire(r, c) hands out a zero-filled r x c Matrix, distinct from every
-//     other matrix acquired since the last reset(). References stay valid
-//     until the *owning Workspace* is destroyed (reset() only returns slots
-//     to the pool; it never frees or reshapes them).
-//   * reset() starts a new borrow generation. Slots are re-handed-out in
-//     acquisition order, so a repeated identical pass touches the exact same
-//     memory — bitwise-deterministic and, once every shape has been seen,
-//     free of heap allocations.
-//   * The arena never shrinks. num_slots()/bytes_reserved() expose growth so
-//     callers (and tests) can assert a hot loop has reached steady state.
+//     other matrix acquired since the last reset(). Slot i is the i-th
+//     acquire since reset(), reshaped in place to the requested shape.
+//   * A borrowed Matrix object lives as long as the owning Workspace, but
+//     nothing borrowed may be read across a reset(): the next pass may
+//     reshape the slot and move its storage (ASan reports a span held across
+//     a reset() into a slot that grew as a heap-use-after-free).
+//   * A repeated identical pass touches the exact same memory —
+//     bitwise-deterministic. A pass allocates only for slots it needs larger
+//     than ever before, so once the largest pass has run, none does,
+//     whatever mix of shapes follows.
+//   * The arena never shrinks. Each slot keeps the largest size it was
+//     handed out at; num_slots()/bytes_reserved() expose growth so callers
+//     (and tests) can assert a hot loop has reached steady state.
 //
 // Not thread-safe: one Workspace per thread (the trainer and the
 // InferenceEngine each own a per-thread pool).
 #pragma once
 
-#include <cstdint>
+#include <cstddef>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "tensor/matrix.hpp"
@@ -37,31 +40,31 @@ class Workspace {
   /// Borrows a zero-filled rows x cols matrix until the next reset().
   Matrix& acquire(std::size_t rows, std::size_t cols);
 
-  /// Like acquire(), but a reused slot keeps its stale contents — for
-  /// destinations every element of which is written before being read
-  /// (matmul_into / relu_into style); skips the hot-path memset that
-  /// acquire() would spend on them.
+  /// Like acquire(), but the contents are unspecified — for destinations
+  /// every element of which is written before being read (matmul_into /
+  /// relu_into style); skips the hot-path memset that acquire() would
+  /// spend on them.
   Matrix& acquire_uninit(std::size_t rows, std::size_t cols);
 
   /// Returns every borrowed matrix to the pool; capacity is retained.
-  void reset();
+  void reset() { next_ = 0; }
 
-  /// Total slots ever created (== growth events; flat once warmed up).
-  [[nodiscard]] std::size_t num_slots() const { return num_slots_; }
-  /// Total float storage held by the arena, in bytes.
+  /// Total slots ever created (== most acquires in one pass; flat once
+  /// warmed up).
+  [[nodiscard]] std::size_t num_slots() const { return slots_.size(); }
+  /// Sum over slots of the largest matrix each was handed out as, in bytes.
   [[nodiscard]] std::size_t bytes_reserved() const { return bytes_reserved_; }
   /// acquire() calls over the workspace's lifetime.
   [[nodiscard]] std::size_t num_acquires() const { return num_acquires_; }
 
  private:
-  struct Bucket {
-    std::vector<std::unique_ptr<Matrix>> slots;
-    std::size_t in_use = 0;
+  struct Slot {
+    Matrix matrix;
+    std::size_t high_water = 0;  // largest rows * cols handed out
   };
 
-  std::unordered_map<std::uint64_t, Bucket> buckets_;
-  std::vector<Bucket*> active_;  // buckets with in_use > 0, for O(live) reset
-  std::size_t num_slots_ = 0;
+  std::vector<std::unique_ptr<Slot>> slots_;  // stable addresses on growth
+  std::size_t next_ = 0;
   std::size_t bytes_reserved_ = 0;
   std::size_t num_acquires_ = 0;
 };
