@@ -1,4 +1,4 @@
-// bench_ann: the embedding-space ANN index + serve-time semantic cache
+// bench_ann: the embedding-space ANN index + serve-time reply cache
 // measurement (BENCH_ann.json).
 //
 // Part 1 — index quality/latency. A real-model embedding corpus is built by
@@ -10,8 +10,8 @@
 //
 // Part 2 — serve cache. An in-process Server is loaded through the shared
 // seeded RequestPicker under uniform and zipf-skewed traffic, cache off vs
-// cache on (eps = 0: exact-match hits only, replies byte-identical), and
-// the JSON records hit-rates and the graphs/s speedup.
+// cache on (byte-identical requests hit, replies byte-identical), and the
+// JSON records hit-rates and the graphs/s speedup.
 //
 // Modes:
 //   --emit-fixture DIR  write DIR/ann.pgann (a small real-embedding index,
@@ -173,7 +173,6 @@ LoadPoint measure_serve(const AnnFixture& fx,
   serve::ServeConfig config;
   config.workers = 2;
   config.cache = cache_on;
-  config.cache_eps = 0.0;  // exact-match: replies stay byte-identical
   serve::Server server(*fx.model, fx.scalers, config);
   server.start();
 
@@ -220,7 +219,7 @@ LoadPoint measure_serve(const AnnFixture& fx,
 
 int main(int argc, char** argv) {
   bench::BenchConfig config;
-  bench::print_header("ann index + semantic cache", config);
+  bench::print_header("ann index + reply cache", config);
 
   const char* fixture_dir = option_value(argc, argv, "--emit-fixture");
   const bool smoke = config.scale == RunScale::kSmoke || fixture_dir != nullptr;
@@ -259,8 +258,9 @@ int main(int argc, char** argv) {
                 p.n, p.build_s, p.recall_at_10, p.query_p50_us);
   }
 
-  // What a cache hit actually saves: predict = embed + head, so the
-  // head's share of the forward pass bounds the best-case hit speedup.
+  // predict = embed + head, so the head's share of the forward pass is all
+  // a cache keyed on embeddings could save; the serve cache keys whole
+  // requests instead and skips the forward outright.
   double head_fraction = 0.0;
   {
     std::vector<model::EncodedGraph> graphs;

@@ -29,7 +29,7 @@
 // Request mix: --uniform (the default) and --zipf <s> share one seeded
 // picker (bench::RequestPicker; Zipf with s = 0 IS uniform), so the two
 // modes differ only in skew. --zipf concentrates traffic on a few hot
-// requests — the shape the serve-time semantic cache is built for. The
+// requests — the byte-identical repeats the serve-time reply cache hits. The
 // emitted JSON records the mix descriptor alongside the numbers.
 #include <sys/resource.h>
 

@@ -71,16 +71,6 @@ class ParaGraphModel {
   void embed_batch(const GraphBatch& batch, tensor::Matrix& out,
                    tensor::Workspace& ws) const;
 
-  /// FC head over externally held pooled embeddings (as produced by
-  /// embed_batch): fc1/fc2 + aux embedding + concat + out_fc. Every head op
-  /// is row-independent, so running any subset of rows through this is
-  /// bitwise-identical to the tail of a full predict_batch — which is what
-  /// lets the serve-time semantic cache run the head only for cache misses.
-  /// `pooled` [B x hidden] and `aux` [B x aux_dim] must not be borrowed
-  /// from `ws` (this call resets `ws`).
-  void predict_head(const tensor::Matrix& pooled, const tensor::Matrix& aux,
-                    std::span<double> out, tensor::Workspace& ws) const;
-
   /// Forward + backward for one sample under MSE against `target` (scaled).
   /// Accumulates `grad_scale * dL/dtheta` into `grads` (one Matrix per
   /// parameter, same order as parameters()). Returns the prediction.
@@ -123,8 +113,8 @@ class ParaGraphModel {
   /// block-diagonal batch; `offsets` (size B+1) marks per-graph node blocks
   /// and `aux_in` is [B x aux_dim]. Fills state; predictions are
   /// state.out(b, 0). Composed of run_embed (conv stack + pool) followed by
-  /// run_head (FC head), so the public embed/head entry points share its
-  /// exact FP operations by construction.
+  /// run_head (FC head), so embed_batch shares the predict path's exact FP
+  /// operations by construction.
   void run_forward(const tensor::Matrix& features,
                    const nn::RelationalGraph& relations,
                    std::span<const std::uint32_t> offsets,

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
+#include <type_traits>
 #include <utility>
 
 #include "io/pgraph_io.hpp"
@@ -19,11 +19,6 @@
 
 namespace pg::serve {
 namespace {
-
-std::int64_t clamped_env(const char* name, std::int64_t fallback,
-                         std::int64_t lo, std::int64_t hi) {
-  return std::clamp(env_int(name, fallback), lo, hi);
-}
 
 // Epoll tags: connections are tagged with their own fd (always a small
 // non-negative number), so the top of the u64 range is free for sentinels.
@@ -41,42 +36,41 @@ constexpr auto kAcceptCooldown = std::chrono::milliseconds(10);
 
 }  // namespace
 
+ServeConfig apply_serve_knobs(ServeConfig c, const KnobSource& source) {
+  const auto knob = [&](auto field, const char* env, const char* flag,
+                        std::int64_t lo, std::int64_t hi) {
+    using Field = std::remove_reference_t<decltype(c.*field)>;
+    const std::int64_t raw =
+        source(env, flag, static_cast<std::int64_t>(c.*field));
+    c.*field = static_cast<Field>(std::clamp(raw, lo, hi));
+  };
+  knob(&ServeConfig::port, "PARAGRAPH_SERVE_PORT", "--port", 0, 65535);
+  knob(&ServeConfig::workers, "PARAGRAPH_SERVE_WORKERS", "--workers", 1, 256);
+  knob(&ServeConfig::io_threads, "PARAGRAPH_SERVE_IO_THREADS", "--io-threads",
+       0, 64);
+  knob(&ServeConfig::queue_depth, "PARAGRAPH_SERVE_QUEUE", "--queue-depth", 1,
+       1 << 20);
+  knob(&ServeConfig::batch_max, "PARAGRAPH_SERVE_BATCH", "--batch-max", 1,
+       static_cast<std::int64_t>(kMaxChunkSize));
+  knob(&ServeConfig::batch_window_us, "PARAGRAPH_SERVE_WINDOW_US",
+       "--window-us", 0, 10'000'000);
+  knob(&ServeConfig::conn_inflight_cap, "PARAGRAPH_SERVE_CONN_INFLIGHT",
+       nullptr, 1, 1 << 16);
+  knob(&ServeConfig::write_queue_cap, "PARAGRAPH_SERVE_WRITEQ_CAP", nullptr,
+       4096, std::int64_t{1} << 30);
+  knob(&ServeConfig::idle_timeout_ms, "PARAGRAPH_SERVE_IDLE_TIMEOUT_MS",
+       "--idle-timeout-ms", 0, 3'600'000);
+  knob(&ServeConfig::cache, "PARAGRAPH_SERVE_CACHE", nullptr, 0, 1);
+  knob(&ServeConfig::cache_capacity, "PARAGRAPH_SERVE_CACHE_CAP", "--cache-cap",
+       1, 1 << 20);
+  return c;
+}
+
 ServeConfig serve_config_from_env(ServeConfig base) {
-  base.port = static_cast<std::uint16_t>(
-      clamped_env("PARAGRAPH_SERVE_PORT", base.port, 0, 65535));
-  base.workers = static_cast<std::size_t>(clamped_env(
-      "PARAGRAPH_SERVE_WORKERS", static_cast<std::int64_t>(base.workers), 1, 256));
-  base.io_threads = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_IO_THREADS",
-                  static_cast<std::int64_t>(base.io_threads), 0, 64));
-  base.queue_depth = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_QUEUE",
-                  static_cast<std::int64_t>(base.queue_depth), 1, 1 << 20));
-  base.batch_max = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_BATCH",
-                  static_cast<std::int64_t>(base.batch_max), 1,
-                  static_cast<std::int64_t>(kMaxChunkSize)));
-  base.batch_window_us = static_cast<std::uint32_t>(
-      clamped_env("PARAGRAPH_SERVE_WINDOW_US", base.batch_window_us, 0,
-                  10'000'000));
-  base.conn_inflight_cap = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_CONN_INFLIGHT",
-                  static_cast<std::int64_t>(base.conn_inflight_cap), 1,
-                  1 << 16));
-  base.write_queue_cap = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_WRITEQ_CAP",
-                  static_cast<std::int64_t>(base.write_queue_cap), 4096,
-                  std::int64_t{1} << 30));
-  base.idle_timeout_ms = static_cast<int>(clamped_env(
-      "PARAGRAPH_SERVE_IDLE_TIMEOUT_MS", base.idle_timeout_ms, 0, 3'600'000));
-  base.cache =
-      clamped_env("PARAGRAPH_SERVE_CACHE", base.cache ? 1 : 0, 0, 1) != 0;
-  base.cache_eps = std::max(
-      0.0, env_double("PARAGRAPH_SERVE_CACHE_EPS", base.cache_eps));
-  base.cache_capacity = static_cast<std::size_t>(
-      clamped_env("PARAGRAPH_SERVE_CACHE_CAP",
-                  static_cast<std::int64_t>(base.cache_capacity), 1, 1 << 20));
-  return base;
+  return apply_serve_knobs(
+      base, [](const char* env, const char*, std::int64_t current) {
+        return env_int(env, current);
+      });
 }
 
 Server::Server(const model::ParaGraphModel& model,
@@ -84,8 +78,7 @@ Server::Server(const model::ParaGraphModel& model,
     : model_(&model), config_(config) {
   scalers.apply_to(scaler_set_);
   if (config_.cache)
-    cache_ = std::make_unique<SemanticCache>(
-        CacheConfig{true, config_.cache_eps, config_.cache_capacity});
+    cache_ = std::make_unique<ReplyCache>(config_.cache_capacity);
 }
 
 Server::~Server() { stop(); }
@@ -424,12 +417,12 @@ void Server::process_frame(const ConnectionPtr& conn,
         return;  // request-scoped failure: the connection lives on
       }
 
-      // Bytes fast path: a byte-identical repeat of a cached request needs
-      // no decode, no queue hop, and no forward pass — the whole pipeline
-      // is deterministic in the payload bytes, so the stored prediction IS
+      // Reply cache: a byte-identical repeat of a cached request needs no
+      // decode, no queue hop, and no forward pass — the whole pipeline is
+      // deterministic in the payload bytes, so the stored prediction IS
       // what recomputation would produce.
       if (cache_ != nullptr) {
-        if (const auto hit = cache_->lookup_bytes(frame.payload)) {
+        if (const auto hit = cache_->lookup(frame.payload)) {
           PredictReply reply;
           reply.scaled = *hit;
           reply.runtime_us = scaler_set_.from_target(*hit);
@@ -637,13 +630,6 @@ void Server::worker_loop(std::size_t /*worker_index*/) {
   std::vector<model::EncodedGraph> graphs;
   std::vector<std::array<float, 2>> aux;
   std::vector<double> scaled;
-  // Cache-path scratch: batch embeddings, the indices that missed, and the
-  // compacted head inputs/outputs for just those misses.
-  tensor::Matrix embeddings;
-  tensor::Matrix miss_pooled;
-  std::vector<std::size_t> miss_idx;
-  std::vector<std::array<float, 2>> miss_aux;
-  std::vector<double> miss_out;
   while (true) {
     std::vector<Pending> batch = pop_batch();
     if (batch.empty()) return;
@@ -659,39 +645,7 @@ void Server::worker_loop(std::size_t /*worker_index*/) {
     scaled.assign(batch.size(), 0.0);
     const model::ScheduleStats before = engine.schedule_stats();
     try {
-      if (cache_ != nullptr) {
-        // Embed once, probe per request, run the FC head only on misses.
-        // The head is row-independent, so predict_head over the compacted
-        // miss rows is bitwise what predict_batch would have produced.
-        engine.embed_batch(graphs, embeddings);
-        miss_idx.clear();
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-          if (const auto hit = cache_->lookup(embeddings.row_span(i), aux[i]))
-            scaled[i] = *hit;
-          else
-            miss_idx.push_back(i);
-        }
-        if (!miss_idx.empty()) {
-          miss_pooled.reshape(miss_idx.size(), embeddings.cols());
-          miss_aux.clear();
-          for (std::size_t m = 0; m < miss_idx.size(); ++m) {
-            const auto src = embeddings.row_span(miss_idx[m]);
-            std::memcpy(miss_pooled.row_span(m).data(), src.data(),
-                        src.size() * sizeof(float));
-            miss_aux.push_back(aux[miss_idx[m]]);
-          }
-          miss_out.assign(miss_idx.size(), 0.0);
-          engine.predict_head(miss_pooled, miss_aux, miss_out);
-          for (std::size_t m = 0; m < miss_idx.size(); ++m) {
-            scaled[miss_idx[m]] = miss_out[m];
-            cache_->insert(embeddings.row_span(miss_idx[m]),
-                           aux[miss_idx[m]], miss_out[m],
-                           std::move(batch[miss_idx[m]].bytes));
-          }
-        }
-      } else {
-        engine.predict_batch(graphs, aux, scaled);
-      }
+      engine.predict_batch(graphs, aux, scaled);
     } catch (const std::exception& e) {
       for (const Pending& p : batch)
         send_error(p.conn, p.request_id, ErrorCode::kInternal, e.what(),
@@ -708,6 +662,9 @@ void Server::worker_loop(std::size_t /*worker_index*/) {
                                std::memory_order_relaxed);
     stat_sched_intra_.fetch_add(after.intra_chunks - before.intra_chunks,
                                 std::memory_order_relaxed);
+    if (cache_ != nullptr)
+      for (std::size_t i = 0; i < batch.size(); ++i)
+        cache_->insert(std::move(batch[i].bytes), scaled[i]);
 
     for (std::size_t i = 0; i < batch.size(); ++i) {
       PredictReply reply;

@@ -12,7 +12,9 @@
 //                 partial headers/payloads accumulate as ~bytes of state
 //                 instead of parking a blocked thread; complete predict
 //                 frames decode and try_push into the admission queue
-//                 (full queue => immediate kBusyReply backpressure)
+//                 (full queue => immediate kBusyReply backpressure). With
+//                 the reply cache on, a byte-identical repeat is answered
+//                 here, before decode (serve/reply_cache.hpp)
 //        write:   replies append to a bounded per-connection write queue;
 //                 the owning io thread drains it with ONE gathered
 //                 sendmsg per readiness window, so replies completing in
@@ -60,6 +62,7 @@
 #include <chrono>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -72,7 +75,7 @@
 #include "model/sample.hpp"
 #include "serve/frame_assembler.hpp"
 #include "serve/protocol.hpp"
-#include "serve/semantic_cache.hpp"
+#include "serve/reply_cache.hpp"
 #include "serve/socket.hpp"
 
 namespace pg::serve {
@@ -91,18 +94,28 @@ struct ServeConfig {
   std::size_t conn_inflight_cap = 64;
   std::size_t write_queue_cap = 1 << 20;  // bytes
   int idle_timeout_ms = 0;  // reactor-timer idle close; 0 = never
-  // Semantic prediction cache (serve/semantic_cache.hpp). Off by default so
-  // replies stay bitwise-identical to predict_one; cache_eps = 0 means only
-  // bitwise-equal (embedding, aux) pairs hit — still byte-identical replies.
+  // Bytes-keyed reply cache (serve/reply_cache.hpp): a hit is a
+  // byte-identical repeat, so replies stay bitwise-identical to predict_one
+  // either way; off by default.
   bool cache = false;
-  double cache_eps = 0.0;
   std::size_t cache_capacity = 1024;
 };
 
-/// Env-knob layer (documented in docs/SERVING.md): PARAGRAPH_SERVE_PORT,
-/// _WORKERS, _IO_THREADS, _QUEUE, _BATCH, _WINDOW_US, _IDLE_TIMEOUT_MS,
-/// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_EPS, _CACHE_CAP override the
-/// defaults; out-of-range values are clamped to sane bounds.
+/// Where apply_serve_knobs reads a knob: given its env name, its
+/// paragraph-serve flag (nullptr for env-only knobs) and its current value,
+/// the raw value the operator set, or `current` when unset.
+using KnobSource = std::function<std::int64_t(
+    const char* env, const char* flag, std::int64_t current)>;
+
+/// The one clamp table for the integer knobs (docs/SERVING.md): each raw
+/// value from `source` is clamped to its knob's bounds before it is
+/// narrowed to the field, so no spelling can wrap the port, start zero
+/// workers or unbound the cache.
+ServeConfig apply_serve_knobs(ServeConfig base, const KnobSource& source);
+
+/// apply_serve_knobs over the environment: PARAGRAPH_SERVE_PORT, _WORKERS,
+/// _IO_THREADS, _QUEUE, _BATCH, _WINDOW_US, _IDLE_TIMEOUT_MS,
+/// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_CAP override the defaults.
 ServeConfig serve_config_from_env(ServeConfig base = {});
 
 /// Monotonic counters; safe to read while the server runs.
@@ -126,7 +139,8 @@ struct ServerStats {
   std::uint64_t sched_chunks = 0;
   std::uint64_t sched_rows = 0;
   std::uint64_t sched_intra_chunks = 0;
-  // Semantic-cache counters (all zero when the cache is disabled).
+  // Reply-cache counters (all zero when the cache is disabled): each
+  // non-empty predict request is one hit or one miss.
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
   std::uint64_t cache_evictions = 0;
@@ -206,7 +220,7 @@ class Server {
     std::uint64_t request_id = 0;
     model::EncodedGraph graph;
     std::array<float, 2> aux{};
-    std::string bytes;  // wire payload, kept (cache on) to key insertions
+    std::string bytes;  // wire payload, kept (cache on) as the insert key
   };
 
   // Reactor (io threads).
@@ -248,7 +262,7 @@ class Server {
   const model::ParaGraphModel* model_;
   model::SampleSet scaler_set_;  // from_target() for microsecond replies
   ServeConfig config_;
-  std::unique_ptr<SemanticCache> cache_;  // null when config_.cache is off
+  std::unique_ptr<ReplyCache> cache_;  // null when config_.cache is off
 
   Listener listener_;
   std::vector<std::unique_ptr<IoThread>> io_threads_;

@@ -1,14 +1,12 @@
 // ANN subsystem suite (src/ann, docs/FORMAT.md .pgann):
-//   * embed_batch bitwise parity — predict_batch must equal embed_batch +
-//     predict_head bit-for-bit, across batch sizes, SIMD levels, and row
-//     subsets (the contract the serve-time semantic cache rests on);
+//   * embed_batch row stability — every batched row is bit-for-bit the
+//     graph embedded alone, across batch sizes and SIMD levels, so rows are
+//     stable ANN keys however their graphs were batched;
 //   * nn-descent determinism — same seed, any OpenMP thread count, byte-
 //     identical .pgann output;
 //   * search vs brute force — small-N fallback exactness and recall;
 //   * .pgann round trips, checkpoint-fingerprint staleness rejection, and
-//     reader rejection of corrupt containers with section + offset context;
-//   * SemanticCache match rules, LRU eviction, counters, and the bytes
-//     fast path.
+//     reader rejection of corrupt containers with section + offset context.
 #include <gtest/gtest.h>
 
 #include <omp.h>
@@ -17,7 +15,6 @@
 #include <array>
 #include <cmath>
 #include <cstring>
-#include <initializer_list>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -27,7 +24,6 @@
 #include "graph/builder.hpp"
 #include "model/encoding.hpp"
 #include "model/engine.hpp"
-#include "serve/semantic_cache.hpp"
 #include "support/rng.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/simd.hpp"
@@ -77,51 +73,34 @@ std::string index_bytes(const ann::AnnIndex& index) {
   return os.str();
 }
 
-// --- embed_batch parity ---------------------------------------------------
+// --- embed_batch rows -----------------------------------------------------
 
-TEST(EmbedBatch, EmbedPlusHeadMatchesPredictBitwise) {
-  model::ParaGraphModel m(model::ModelConfig{.hidden_dim = 8, .seed = 3});
-  model::InferenceEngine engine(m);
-  for (const std::size_t n : {1u, 3u, 16u, 33u}) {
-    auto [graphs, aux] = make_batch(n);
-    std::vector<double> predicted(n);
-    engine.predict_batch(graphs, aux, predicted);
-
-    tensor::Matrix pooled;
-    engine.embed_batch(graphs, pooled);
-    ASSERT_EQ(pooled.rows(), n);
-    ASSERT_EQ(pooled.cols(), m.config().hidden_dim);
-    std::vector<double> recomposed(n);
-    engine.predict_head(pooled, aux, recomposed);
-    for (std::size_t i = 0; i < n; ++i)
-      EXPECT_EQ(predicted[i], recomposed[i]) << "batch " << n << " row " << i;
+TEST(EmbedBatch, RowsMatchEachGraphEmbeddedAlone) {
+  namespace simd = tensor::simd;
+  const simd::SimdLevel saved = simd::active_level();
+  for (const simd::SimdLevel level :
+       {simd::SimdLevel::kScalar, simd::max_supported_level()}) {
+    simd::set_active_level(level);
+    model::ParaGraphModel m(model::ModelConfig{.hidden_dim = 8, .seed = 3});
+    model::InferenceEngine engine(m);
+    for (const std::size_t n : {1u, 3u, 16u, 33u}) {
+      auto [graphs, aux] = make_batch(n);
+      tensor::Matrix pooled;
+      engine.embed_batch(graphs, pooled);
+      ASSERT_EQ(pooled.rows(), n);
+      ASSERT_EQ(pooled.cols(), m.config().hidden_dim);
+      tensor::Matrix alone;
+      for (std::size_t i = 0; i < n; ++i) {
+        engine.embed_batch({&graphs[i], 1}, alone);
+        ASSERT_EQ(alone.rows(), 1u);
+        EXPECT_EQ(std::memcmp(pooled.row_span(i).data(), alone.data().data(),
+                              pooled.cols() * sizeof(float)),
+                  0)
+            << simd::level_name(level) << " batch " << n << " row " << i;
+      }
+    }
   }
-}
-
-TEST(EmbedBatch, HeadOnRowSubsetMatchesFullBatch) {
-  // The serve cache compacts miss rows and runs the head on the subset;
-  // the head must be row-independent for that to be bitwise-neutral.
-  model::ParaGraphModel m(model::ModelConfig{.hidden_dim = 8, .seed = 9});
-  model::InferenceEngine engine(m);
-  auto [graphs, aux] = make_batch(12);
-  tensor::Matrix pooled;
-  engine.embed_batch(graphs, pooled);
-  std::vector<double> full(graphs.size());
-  engine.predict_head(pooled, aux, full);
-
-  const std::size_t subset[] = {1, 4, 5, 11};
-  tensor::Matrix compact(std::size(subset), pooled.cols());
-  std::vector<std::array<float, 2>> compact_aux;
-  for (std::size_t s = 0; s < std::size(subset); ++s) {
-    const auto src = pooled.row_span(subset[s]);
-    std::memcpy(compact.row_span(s).data(), src.data(),
-                src.size() * sizeof(float));
-    compact_aux.push_back(aux[subset[s]]);
-  }
-  std::vector<double> out(std::size(subset));
-  engine.predict_head(compact, compact_aux, out);
-  for (std::size_t s = 0; s < std::size(subset); ++s)
-    EXPECT_EQ(out[s], full[subset[s]]) << s;
+  simd::set_active_level(saved);
 }
 
 TEST(EmbedBatch, ParityHoldsAcrossSimdLevels) {
@@ -139,9 +118,6 @@ TEST(EmbedBatch, ParityHoldsAcrossSimdLevels) {
     engine.embed_batch(graphs, pooled);
     std::vector<double> predicted(graphs.size());
     engine.predict_batch(graphs, aux, predicted);
-    std::vector<double> recomposed(graphs.size());
-    engine.predict_head(pooled, aux, recomposed);
-    EXPECT_EQ(predicted, recomposed) << simd::level_name(level);
     per_level.push_back(std::move(predicted));
     per_level_pooled.emplace_back(
         reinterpret_cast<const char*>(pooled.data().data()),
@@ -317,86 +293,6 @@ TEST(AnnIo, FileRoundTripViaMmap) {
   const auto loaded = ann::AnnIndex::load_file(path, 7);
   EXPECT_EQ(loaded.size(), index.size());
   EXPECT_EQ(index_bytes(loaded), index_bytes(index));
-}
-
-// --- semantic cache -------------------------------------------------------
-
-std::vector<float> vec(std::initializer_list<float> v) { return v; }
-
-TEST(SemanticCache, ExactMatchOnlyAtEpsZero) {
-  serve::SemanticCache cache({true, 0.0, 8});
-  const std::array<float, 2> aux{0.5f, 0.25f};
-  cache.insert(vec({1.0f, 2.0f}), aux, 42.0, {});
-
-  const auto hit = cache.lookup(vec({1.0f, 2.0f}), aux);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 42.0);
-  // One ULP away: not a hit at eps 0.
-  EXPECT_FALSE(
-      cache.lookup(vec({std::nextafter(1.0f, 2.0f), 2.0f}), aux).has_value());
-  // Same embedding, different aux: never a hit.
-  EXPECT_FALSE(
-      cache.lookup(vec({1.0f, 2.0f}), {0.5f, 0.5f}).has_value());
-
-  const auto stats = cache.stats();
-  EXPECT_EQ(stats.hits, 1u);
-  EXPECT_EQ(stats.misses, 2u);
-}
-
-TEST(SemanticCache, NearestWithinEpsWins) {
-  serve::SemanticCache cache({true, 0.5, 8});
-  const std::array<float, 2> aux{0.0f, 0.0f};
-  cache.insert(vec({0.0f, 0.0f}), aux, 1.0, {});
-  cache.insert(vec({0.3f, 0.0f}), aux, 2.0, {});
-
-  // 0.2 is within eps of both; the nearer entry (0.3) wins.
-  const auto hit = cache.lookup(vec({0.2f, 0.0f}), aux);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 2.0);
-  // Outside the radius of either: miss.
-  EXPECT_FALSE(cache.lookup(vec({2.0f, 0.0f}), aux).has_value());
-}
-
-TEST(SemanticCache, LruEvictionPrefersStaleEntries) {
-  serve::SemanticCache cache({true, 0.0, 2});
-  const std::array<float, 2> aux{0.0f, 0.0f};
-  cache.insert(vec({1.0f}), aux, 1.0, {});
-  cache.insert(vec({2.0f}), aux, 2.0, {});
-  // Refresh entry 1, then insert a third: entry 2 is the LRU victim.
-  EXPECT_TRUE(cache.lookup(vec({1.0f}), aux).has_value());
-  cache.insert(vec({3.0f}), aux, 3.0, {});
-
-  EXPECT_TRUE(cache.lookup(vec({1.0f}), aux).has_value());
-  EXPECT_FALSE(cache.lookup(vec({2.0f}), aux).has_value());
-  EXPECT_TRUE(cache.lookup(vec({3.0f}), aux).has_value());
-  EXPECT_EQ(cache.stats().evictions, 1u);
-}
-
-TEST(SemanticCache, BytesFastPathHitsAndEvicts) {
-  serve::SemanticCache cache({true, 0.0, 2});
-  const std::array<float, 2> aux{0.0f, 0.0f};
-  EXPECT_FALSE(cache.lookup_bytes("request-a").has_value());
-  cache.insert(vec({1.0f}), aux, 1.0, "request-a");
-
-  const auto hit = cache.lookup_bytes("request-a");
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(*hit, 1.0);
-  // lookup_bytes misses are not counted (the embedding probe counts them).
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().hits, 1u);
-
-  // Evicting the entry must unlink its bytes key.
-  cache.insert(vec({2.0f}), aux, 2.0, "request-b");
-  cache.insert(vec({3.0f}), aux, 3.0, "request-c");  // evicts request-a
-  EXPECT_FALSE(cache.lookup_bytes("request-a").has_value());
-  EXPECT_TRUE(cache.lookup_bytes("request-c").has_value());
-
-  // Duplicate insert (two in-flight identical requests): latest wins, no
-  // shared map node.
-  cache.insert(vec({4.0f}), aux, 4.0, "request-c");
-  const auto dup = cache.lookup_bytes("request-c");
-  ASSERT_TRUE(dup.has_value());
-  EXPECT_EQ(*dup, 4.0);
 }
 
 }  // namespace

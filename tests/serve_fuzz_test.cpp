@@ -4,7 +4,9 @@
 // live server over loopback. The contract: every mutated stream ends in an
 // error reply or a clean disconnect — never a crash, hang, or UB (the suite
 // runs under the ASan+UBSan CI job) — and the server stays fully healthy
-// for well-formed clients afterwards.
+// for well-formed clients afterwards. Every case runs with the reply cache
+// off and on: with it on, no mutated payload may leave a wrong value under
+// a valid request's key.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -123,7 +125,8 @@ std::string mutate(const std::string& stream, Rng& rng) {
   return s;
 }
 
-class ServeFuzz : public ::testing::Test {
+/// Parameter: whether the server runs its reply cache.
+class ServeFuzz : public ::testing::TestWithParam<bool> {
  protected:
   void SetUp() override {
     stored_ = io::read_sample_set_file(golden_path("corpus.pgds"));
@@ -134,6 +137,7 @@ class ServeFuzz : public ::testing::Test {
     serve_config.workers = 1;
     serve_config.batch_max = 8;
     serve_config.batch_window_us = 100;
+    serve_config.cache = GetParam();
     server_ = std::make_unique<serve::Server>(*model_, scalers_, serve_config);
     server_->start();
     ASSERT_NE(server_->port(), 0);
@@ -170,7 +174,7 @@ class ServeFuzz : public ::testing::Test {
   std::string matvec_bytes_;
 };
 
-TEST_F(ServeFuzz, SeededMutationsNeverCrashOrHangTheServer) {
+TEST_P(ServeFuzz, SeededMutationsNeverCrashOrHangTheServer) {
   const std::vector<std::string> streams = seed_streams();
   ASSERT_FALSE(streams.empty());
 
@@ -231,10 +235,14 @@ TEST_F(ServeFuzz, SeededMutationsNeverCrashOrHangTheServer) {
   EXPECT_GE(stats.connections, static_cast<std::uint64_t>(kIterations));
 
   ASSERT_NO_FATAL_FAILURE(expect_healthy(kIterations));
+  // Cache on: the later health probes were answered from the cache.
+  if (GetParam()) {
+    EXPECT_GT(server_->stats().cache_hits, 0u);
+  }
   (void)disconnects;
 }
 
-TEST_F(ServeFuzz, SlowLorisFramesStillGetExactReplies) {
+TEST_P(ServeFuzz, SlowLorisFramesStillGetExactReplies) {
   // The classic reactor adversary: many connections trickling valid frames
   // a few bytes at a time. A thread-per-connection server parks a thread on
   // each; the reactor must assemble all of them concurrently with its fixed
@@ -311,7 +319,7 @@ TEST_F(ServeFuzz, SlowLorisFramesStillGetExactReplies) {
   ASSERT_NO_FATAL_FAILURE(expect_healthy(-2));
 }
 
-TEST_F(ServeFuzz, MidFrameDisconnectsNeverWedgeTheReactor) {
+TEST_P(ServeFuzz, MidFrameDisconnectsNeverWedgeTheReactor) {
   // Connections that vanish partway through a frame: random prefixes of a
   // valid stream, then an abrupt close (no end-of-requests courtesy). The
   // assembler state must be reclaimed and the daemon unharmed.
@@ -401,7 +409,7 @@ TEST(ServeReadGate, ConnectionThatNeverReadsIsGatedNotFatal) {
   server.stop();
 }
 
-TEST_F(ServeFuzz, DegenerateStreams) {
+TEST_P(ServeFuzz, DegenerateStreams) {
   // Hand-picked worst cases that random mutation might miss at one seed.
   const std::string psample = slurp(golden_path("matvec_cpu.psample"));
   std::vector<std::string> streams;
@@ -446,6 +454,11 @@ TEST_F(ServeFuzz, DegenerateStreams) {
   }
   ASSERT_NO_FATAL_FAILURE(expect_healthy(-1));
 }
+
+INSTANTIATE_TEST_SUITE_P(CacheOffAndOn, ServeFuzz, ::testing::Bool(),
+                         [](const ::testing::TestParamInfo<bool>& info) {
+                           return info.param ? "CacheOn" : "CacheOff";
+                         });
 
 }  // namespace
 }  // namespace pg

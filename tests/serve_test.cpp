@@ -1,9 +1,10 @@
 // Serve-layer regression suite (docs/SERVING.md): frame codec round trips,
 // header rejection (bad magic / version / oversized), the error severity
 // contract (request-scoped failures keep the connection, framing failures
-// close it), and a loopback end-to-end pass over the golden corpus pinned
-// bitwise against the in-process InferenceEngine — the daemon's dynamic
-// batching must never change a single bit of any prediction.
+// close it), the reply cache's LRU and counters, the knob clamp table, and
+// a loopback end-to-end pass over the golden corpus pinned bitwise against
+// the in-process InferenceEngine — neither the daemon's dynamic batching nor
+// its reply cache may change a single bit of any prediction.
 #include <gtest/gtest.h>
 
 #include <sys/epoll.h>
@@ -19,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "io/pgraph_io.hpp"
@@ -27,8 +29,10 @@
 #include "model/paragraph_model.hpp"
 #include "serve/client.hpp"
 #include "serve/protocol.hpp"
+#include "serve/reply_cache.hpp"
 #include "serve/server.hpp"
 #include "serve/socket.hpp"
+#include "support/env.hpp"
 
 #ifndef PG_GOLDEN_DIR
 #error "PG_GOLDEN_DIR must point at tests/golden"
@@ -572,6 +576,7 @@ TEST(ServeIdleTimeout, ReactorTimerClosesIdleConnections) {
 TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   struct Restore {
     ~Restore() {
+      unsetenv("PARAGRAPH_SERVE_PORT");
       unsetenv("PARAGRAPH_SERVE_WORKERS");
       unsetenv("PARAGRAPH_SERVE_IO_THREADS");
       unsetenv("PARAGRAPH_SERVE_QUEUE");
@@ -579,7 +584,6 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
       unsetenv("PARAGRAPH_SERVE_CONN_INFLIGHT");
       unsetenv("PARAGRAPH_SERVE_WRITEQ_CAP");
       unsetenv("PARAGRAPH_SERVE_CACHE");
-      unsetenv("PARAGRAPH_SERVE_CACHE_EPS");
       unsetenv("PARAGRAPH_SERVE_CACHE_CAP");
     }
   } restore;
@@ -590,7 +594,6 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   setenv("PARAGRAPH_SERVE_CONN_INFLIGHT", "0", 1);  // floor is 1 -> clamped
   setenv("PARAGRAPH_SERVE_WRITEQ_CAP", "1", 1);  // floor is 4096 -> clamped
   setenv("PARAGRAPH_SERVE_CACHE", "1", 1);
-  setenv("PARAGRAPH_SERVE_CACHE_EPS", "-0.5", 1);  // negative -> clamped to 0
   setenv("PARAGRAPH_SERVE_CACHE_CAP", "64", 1);
   const serve::ServeConfig config = serve::serve_config_from_env();
   EXPECT_EQ(config.workers, 3u);
@@ -600,17 +603,113 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   EXPECT_EQ(config.conn_inflight_cap, 1u);
   EXPECT_EQ(config.write_queue_cap, 4096u);
   EXPECT_TRUE(config.cache);
-  EXPECT_EQ(config.cache_eps, 0.0);
   EXPECT_EQ(config.cache_capacity, 64u);
+
+  // Out of range: clamped to the bounds, never wrapped or narrowed.
+  setenv("PARAGRAPH_SERVE_PORT", "70000", 1);
+  setenv("PARAGRAPH_SERVE_WORKERS", "0", 1);
+  setenv("PARAGRAPH_SERVE_CACHE", "7", 1);
+  setenv("PARAGRAPH_SERVE_CACHE_CAP", "-1", 1);
+  const serve::ServeConfig wild = serve::serve_config_from_env();
+  EXPECT_EQ(wild.port, 65535u);
+  EXPECT_EQ(wild.workers, 1u);
+  EXPECT_TRUE(wild.cache);
+  EXPECT_EQ(wild.cache_capacity, 1u);
+
+  // paragraph-serve's flags go through the same table: a source that
+  // answers by flag name stands in for its argv.
+  const std::vector<std::pair<std::string, std::int64_t>> flags = {
+      {"--port", 70000},       {"--workers", 0},
+      {"--io-threads", 1000},  {"--queue-depth", -5},
+      {"--batch-max", 1 << 30}, {"--window-us", -1},
+      {"--idle-timeout-ms", -1}, {"--cache-cap", -1}};
+  const serve::ServeConfig flagged = serve::apply_serve_knobs(
+      {}, [&](const char*, const char* flag, std::int64_t current) {
+        for (const auto& [name, value] : flags)
+          if (flag != nullptr && name == flag) return value;
+        return current;
+      });
+  EXPECT_EQ(flagged.port, 65535u);
+  EXPECT_EQ(flagged.workers, 1u);
+  EXPECT_EQ(flagged.io_threads, 64u);
+  EXPECT_EQ(flagged.queue_depth, 1u);
+  EXPECT_EQ(flagged.batch_max, kMaxChunkSize);
+  EXPECT_EQ(flagged.batch_window_us, 0u);
+  EXPECT_EQ(flagged.idle_timeout_ms, 0);
+  EXPECT_EQ(flagged.cache_capacity, 1u);
 }
 
-// --- semantic cache end-to-end --------------------------------------------
+// --- reply cache ----------------------------------------------------------
 
-/// Loopback server with the semantic cache on. eps comes from the test;
-/// everything else mirrors ServeLoopback.
+TEST(ReplyCache, RefreshMakesAnEntryMostRecentlyUsed) {
+  serve::ReplyCache cache(2);
+  cache.insert("a", 1.0);
+  cache.insert("b", 2.0);
+  ASSERT_EQ(cache.lookup("a"), 1.0);  // refresh: "b" is now the LRU entry
+  cache.insert("c", 3.0);
+  EXPECT_EQ(cache.lookup("a"), 1.0);
+  EXPECT_FALSE(cache.lookup("b").has_value());
+  EXPECT_EQ(cache.lookup("c"), 3.0);
+  EXPECT_EQ(cache.stats().evictions, 1u);
+}
+
+TEST(ReplyCache, EachLookupCountsOneHitOrOneMiss) {
+  serve::ReplyCache cache(4);
+  EXPECT_FALSE(cache.lookup("a").has_value());
+  cache.insert("a", 1.0);  // inserts count nothing
+  EXPECT_TRUE(cache.lookup("a").has_value());
+  EXPECT_TRUE(cache.lookup("a").has_value());
+  EXPECT_FALSE(cache.lookup("b").has_value());
+  const serve::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 2u);
+  EXPECT_EQ(stats.evictions, 0u);
+}
+
+TEST(ReplyCache, DuplicateInsertReplacesTheValueInPlace) {
+  // Two identical in-flight requests both miss and both insert. A second
+  // entry for "a" would overflow the capacity and evict.
+  serve::ReplyCache cache(2);
+  cache.insert("a", 1.0);
+  cache.insert("b", 2.0);
+  cache.insert("a", 4.0);
+  EXPECT_EQ(cache.stats().evictions, 0u);
+  EXPECT_EQ(cache.lookup("a"), 4.0);
+  EXPECT_EQ(cache.lookup("b"), 2.0);
+}
+
+TEST(ReplyCache, EvictionsAreInsertsPastCapacity) {
+  constexpr std::size_t kCapacity = 4;
+  constexpr std::size_t kInserts = 11;
+  serve::ReplyCache cache(kCapacity);
+  for (std::size_t i = 0; i < kInserts; ++i)
+    cache.insert("request-" + std::to_string(i), static_cast<double>(i));
+  EXPECT_EQ(cache.stats().evictions, kInserts - kCapacity);
+  for (std::size_t i = 0; i < kInserts; ++i)
+    EXPECT_EQ(cache.lookup("request-" + std::to_string(i)).has_value(),
+              i >= kInserts - kCapacity)
+        << i;
+}
+
+TEST(ReplyCache, KeysCompareByTheirFullBytes) {
+  serve::ReplyCache cache(8);
+  const std::string with_nul("a\0b", 3);
+  cache.insert(with_nul, 1.0);
+  cache.insert("ab", 2.0);
+  EXPECT_EQ(cache.lookup(with_nul), 1.0);
+  EXPECT_EQ(cache.lookup("ab"), 2.0);
+  EXPECT_FALSE(cache.lookup(std::string("a\0c", 3)).has_value());
+  EXPECT_FALSE(cache.lookup(std::string("a\0", 2)).has_value());
+  EXPECT_FALSE(cache.lookup("a").has_value());
+}
+
+// --- reply cache end-to-end -----------------------------------------------
+
+/// Loopback server with the reply cache on; everything else mirrors
+/// ServeLoopback.
 class ServeCacheLoopback : public ::testing::Test {
  protected:
-  void start(double eps) {
+  void start() {
     stored_ = io::read_sample_set_file(golden_path("corpus.pgds"));
     scalers_ = model::CheckpointScalers::from_sample_set(stored_.set);
     model_ = std::make_unique<model::ParaGraphModel>(config_);
@@ -619,7 +718,6 @@ class ServeCacheLoopback : public ::testing::Test {
     serve_config.workers = 2;
     serve_config.batch_max = 4;
     serve_config.cache = true;
-    serve_config.cache_eps = eps;
     server_ = std::make_unique<serve::Server>(*model_, scalers_, serve_config);
     server_->start();
     ASSERT_NE(server_->port(), 0);
@@ -637,11 +735,11 @@ class ServeCacheLoopback : public ::testing::Test {
 };
 
 TEST_F(ServeCacheLoopback, ExactMatchHitsAreBitwiseIdentical) {
-  // eps = 0: every reply — miss or hit — must be bit-for-bit what the
-  // uncached engine computes. Round one populates the cache, round two is
-  // served from it (the bytes fast path), round three re-sends over a new
-  // connection; all three must agree with predict_one exactly.
-  start(/*eps=*/0.0);
+  // Every reply — miss or hit — must be bit-for-bit what the uncached
+  // engine computes. Round one populates the cache, round two is served
+  // from it, round three re-sends over a new connection; all three must
+  // agree with predict_one exactly.
+  start();
   model::InferenceEngine engine(*model_);
   model::SampleSet scaler_set;
   scalers_.apply_to(scaler_set);
@@ -673,35 +771,30 @@ TEST_F(ServeCacheLoopback, ExactMatchHitsAreBitwiseIdentical) {
   EXPECT_LE(stats.cache_misses, samples);
 }
 
-TEST_F(ServeCacheLoopback, EpsRadiusServesNearbyRequestFromCache) {
-  // Byte-different requests with the same graph + aux embed identically
-  // (distance 0 <= any eps), so the second request must reuse the first's
-  // prediction through the embedding-space probe — the bytes fast path
-  // cannot see it, the semantic match must.
-  start(/*eps=*/0.5);
+TEST_F(ServeCacheLoopback, ByteDifferentRequestWithSameGraphIsAMiss) {
+  // Same graph and aux, different wire bytes: the cache keys whole
+  // requests, so the second one misses and runs its own forward pass.
+  start();
   model::TrainingSample sample =
       io::read_sample_file(golden_path("matvec_cpu.psample"));
+  model::InferenceEngine engine(*model_);
+  const double expected = engine.predict_one(sample.graph, sample.aux);
 
   serve::Client client(server_->port(), 5000);
-  const auto first = client.predict_bytes(serve::Client::sample_bytes(sample));
-  ASSERT_TRUE(first.has_value());
-  ASSERT_EQ(first->kind, serve::FrameKind::kPredictReply);
-
+  const std::string first_bytes = serve::Client::sample_bytes(sample);
   sample.runtime_us += 1.0;  // changes the wire bytes, not graph or aux
   const std::string second_bytes = serve::Client::sample_bytes(sample);
-  EXPECT_NE(second_bytes,
-            serve::Client::sample_bytes(io::read_sample_file(
-                golden_path("matvec_cpu.psample"))));
-  const auto second = client.predict_bytes(second_bytes);
-  ASSERT_TRUE(second.has_value());
-  ASSERT_EQ(second->kind, serve::FrameKind::kPredictReply);
-  EXPECT_EQ(std::memcmp(&second->prediction.scaled, &first->prediction.scaled,
-                        8),
-            0);
+  ASSERT_NE(first_bytes, second_bytes);
+  for (const std::string& bytes : {first_bytes, second_bytes}) {
+    const auto response = client.predict_bytes(bytes);
+    ASSERT_TRUE(response.has_value());
+    ASSERT_EQ(response->kind, serve::FrameKind::kPredictReply);
+    EXPECT_EQ(std::memcmp(&response->prediction.scaled, &expected, 8), 0);
+  }
 
   const serve::ServerStats stats = server_->stats();
-  EXPECT_EQ(stats.cache_hits, 1u);
-  EXPECT_EQ(stats.cache_misses, 1u);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(stats.cache_misses, 2u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 // 0 clean shutdown, 1 startup/runtime failure, 2 usage error.
 #include <omp.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <csignal>
@@ -46,8 +47,7 @@ int usage() {
   --duration-s S        exit after S seconds (default 0 = run until signal)
   --threads N           OpenMP threads per engine shard (PARAGRAPH_THREADS)
   --simd LEVEL          kernel dispatch: scalar|sse2|avx2 (PARAGRAPH_SIMD)
-  --cache               enable the semantic prediction cache (default off)
-  --cache-eps E         embedding L2 match radius (default 0 = exact match)
+  --cache               enable the bytes-keyed reply cache (default off)
   --cache-cap N         cache capacity before LRU eviction (default 1024)
 
   Environment defaults (overridden by the flags above): PARAGRAPH_SERVE_PORT,
@@ -55,7 +55,7 @@ int usage() {
   PARAGRAPH_SERVE_BATCH, PARAGRAPH_SERVE_WINDOW_US,
   PARAGRAPH_SERVE_IDLE_TIMEOUT_MS, PARAGRAPH_SERVE_CONN_INFLIGHT,
   PARAGRAPH_SERVE_WRITEQ_CAP, PARAGRAPH_SERVE_CACHE,
-  PARAGRAPH_SERVE_CACHE_EPS, PARAGRAPH_SERVE_CACHE_CAP.
+  PARAGRAPH_SERVE_CACHE_CAP. Flags and env values clamp to the same bounds.
 )");
   return 2;
 }
@@ -110,30 +110,15 @@ int main(int argc, char** argv) {
         model::load_checkpoint_file(ckpt_path, model);
 
     serve::ServeConfig serve_config = serve::serve_config_from_env();
-    serve_config.port = static_cast<std::uint16_t>(
-        int_option(argc, argv, "--port", serve_config.port));
-    serve_config.workers = static_cast<std::size_t>(int_option(
-        argc, argv, "--workers",
-        static_cast<std::int64_t>(std::max<std::size_t>(serve_config.workers, 2))));
-    serve_config.io_threads = static_cast<std::size_t>(
-        int_option(argc, argv, "--io-threads",
-                   static_cast<std::int64_t>(serve_config.io_threads)));
-    serve_config.queue_depth = static_cast<std::size_t>(
-        int_option(argc, argv, "--queue-depth",
-                   static_cast<std::int64_t>(serve_config.queue_depth)));
-    serve_config.batch_max = static_cast<std::size_t>(
-        int_option(argc, argv, "--batch-max",
-                   static_cast<std::int64_t>(serve_config.batch_max)));
-    serve_config.batch_window_us = static_cast<std::uint32_t>(
-        int_option(argc, argv, "--window-us", serve_config.batch_window_us));
-    serve_config.idle_timeout_ms = static_cast<int>(int_option(
-        argc, argv, "--idle-timeout-ms", serve_config.idle_timeout_ms));
+    // The daemon runs at least two engine shards unless --workers says.
+    serve_config.workers = std::max<std::size_t>(serve_config.workers, 2);
+    serve_config = serve::apply_serve_knobs(
+        serve_config,
+        [&](const char*, const char* flag, std::int64_t current) {
+          return flag != nullptr ? int_option(argc, argv, flag, current)
+                                 : current;
+        });
     if (flag_option(argc, argv, "--cache")) serve_config.cache = true;
-    if (const char* eps = option_value(argc, argv, "--cache-eps"))
-      serve_config.cache_eps = std::stod(eps);
-    serve_config.cache_capacity = static_cast<std::size_t>(
-        int_option(argc, argv, "--cache-cap",
-                   static_cast<std::int64_t>(serve_config.cache_capacity)));
     const std::int64_t duration_s = int_option(argc, argv, "--duration-s", 0);
 
     serve::Server server(model, scalers, serve_config);
@@ -204,11 +189,11 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(stats.sched_intra_chunks));
     if (serve_config.cache)
       std::printf("paragraph-serve: cache — %llu hits, %llu misses, "
-                  "%llu evictions (eps %g, cap %zu)\n",
+                  "%llu evictions (cap %zu)\n",
                   static_cast<unsigned long long>(stats.cache_hits),
                   static_cast<unsigned long long>(stats.cache_misses),
                   static_cast<unsigned long long>(stats.cache_evictions),
-                  serve_config.cache_eps, serve_config.cache_capacity);
+                  serve_config.cache_capacity);
     return 0;
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
