@@ -320,7 +320,9 @@ int main(int argc, char** argv) {
   report.add("hidden_dim", config.hidden_dim);
   report.add("base_embeddings", fx.base.rows());
   for (const IndexPoint& p : points) {
-    const std::string prefix = "n" + std::to_string(p.n) + "_";
+    std::string prefix = "n";
+    prefix += std::to_string(p.n);
+    prefix += '_';
     report.add(prefix + "build_s", p.build_s);
     report.add(prefix + "recall_at_10", p.recall_at_10);
     report.add(prefix + "query_p50_us", p.query_p50_us);

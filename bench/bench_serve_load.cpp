@@ -484,7 +484,9 @@ int main(int argc, char** argv) {
     report.add("sweep_connections", sweep_descriptor);
     report.add("sweep_seconds", static_cast<int>(sweep_seconds));
     for (const SweepPoint& point : sweep) {
-      const std::string prefix = "c" + std::to_string(point.connections) + "_";
+      std::string prefix = "c";
+      prefix += std::to_string(point.connections);
+      prefix += '_';
       report.add(prefix + "requests_ok", static_cast<std::size_t>(point.ok));
       report.add(prefix + "p50_us", point.p50_us);
       report.add(prefix + "p99_us", point.p99_us);

@@ -216,7 +216,7 @@ void ParaGraphModel::run_backward(const nn::RelationalGraph& relations,
   // Aux branch.
   tensor::Matrix& daux_pre = ws.acquire_uninit(batch, config_.aux_embed_dim);
   nn::relu_backward_into(daux_pre, daux, *s.aux_pre);
-  (void)aux_fc_.backward(*s.aux_in, daux_pre, aux_grads, ws);
+  aux_fc_.backward_params(*s.aux_in, daux_pre, aux_grads);
 
   // Graph head.
   tensor::Matrix& df2_pre = ws.acquire_uninit(batch, config_.hidden_dim);
@@ -244,7 +244,8 @@ void ParaGraphModel::run_backward(const nn::RelationalGraph& relations,
 
   tensor::Matrix& dh2 = conv3_.backward(dh3, relations, s.c3, conv3_grads, ws);
   tensor::Matrix& dh1 = conv2_.backward(dh2, relations, s.c2, conv2_grads, ws);
-  (void)conv1_.backward(dh1, relations, s.c1, conv1_grads, ws);
+  // conv1's input is the constant node encoding: no dx.
+  conv1_.backward_params(dh1, relations, s.c1, conv1_grads, ws);
 }
 
 double ParaGraphModel::accumulate_gradients(const EncodedGraph& graph,

@@ -33,24 +33,25 @@ const tensor::Matrix& Linear::forward(const tensor::Matrix& x,
   return y;
 }
 
-tensor::Matrix Linear::backward(const tensor::Matrix& x, const tensor::Matrix& dy,
-                                std::span<tensor::Matrix> grads) const {
+void Linear::backward_params(const tensor::Matrix& x, const tensor::Matrix& dy,
+                             std::span<tensor::Matrix> grads) const {
   check(grads.size() == num_params(), "Linear::backward: bad grad span");
   check(grads[0].same_shape(w_) && grads[1].same_shape(b_),
         "Linear::backward: grad shapes mismatch");
   tensor::matmul_transpose_a_acc(grads[0], x, dy);
   tensor::column_sums_acc(grads[1], dy);
+}
+
+tensor::Matrix Linear::backward(const tensor::Matrix& x, const tensor::Matrix& dy,
+                                std::span<tensor::Matrix> grads) const {
+  backward_params(x, dy, grads);
   return tensor::matmul_transpose_b(dy, w_);
 }
 
 tensor::Matrix& Linear::backward(const tensor::Matrix& x, const tensor::Matrix& dy,
                                  std::span<tensor::Matrix> grads,
                                  tensor::Workspace& ws) const {
-  check(grads.size() == num_params(), "Linear::backward: bad grad span");
-  check(grads[0].same_shape(w_) && grads[1].same_shape(b_),
-        "Linear::backward: grad shapes mismatch");
-  tensor::matmul_transpose_a_acc(grads[0], x, dy);
-  tensor::column_sums_acc(grads[1], dy);
+  backward_params(x, dy, grads);
   tensor::Matrix& dx = ws.acquire_uninit(dy.rows(), w_.rows());
   tensor::matmul_transpose_b_into(dx, dy, w_);
   return dx;

@@ -37,6 +37,12 @@ class Linear {
                            std::span<tensor::Matrix> grads,
                            tensor::Workspace& ws) const;
 
+  /// The parameter half of backward() alone — for a layer whose input is
+  /// a constant, so dL/dx is never formed. The gradients it accumulates are
+  /// byte-equal to backward()'s.
+  void backward_params(const tensor::Matrix& x, const tensor::Matrix& dy,
+                       std::span<tensor::Matrix> grads) const;
+
   [[nodiscard]] static constexpr std::size_t num_params() { return 2; }
   [[nodiscard]] std::vector<tensor::Matrix*> parameters();
   [[nodiscard]] std::vector<const tensor::Matrix*> parameters() const;

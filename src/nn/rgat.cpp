@@ -9,10 +9,12 @@
 //
 // The hot per-relation bodies — the fused gather->project and the grouped
 // attention softmax + gated scatter walking the CSR group_offsets[] /
-// group_dst[] arrays — live in the runtime-dispatched SIMD kernel layer
-// (tensor/simd.hpp): width-templated register accumulators, vector loads
-// across the independent output lanes, reduction order pinned to the scalar
-// reference so every dispatch level is bitwise-identical.
+// group_dst[] arrays, and in the backward the attention backward, the
+// gathered dW_r accumulate and the W_r^T scatter into dx — live in the
+// runtime-dispatched SIMD kernel layer (tensor/simd.hpp): width-templated
+// register accumulators, vector loads across the independent output lanes,
+// reduction order pinned to the scalar reference so every dispatch level is
+// bitwise-identical.
 #include "nn/rgat.hpp"
 
 #include <cmath>
@@ -181,6 +183,23 @@ tensor::Matrix& RgatConv::backward(const tensor::Matrix& dy,
                                    const Cache& cache,
                                    std::span<tensor::Matrix> grads,
                                    tensor::Workspace& ws) const {
+  return *backward_impl(dy, graph, cache, grads, ws, /*with_dx=*/true);
+}
+
+void RgatConv::backward_params(const tensor::Matrix& dy,
+                               const RelationalGraph& graph,
+                               const Cache& cache,
+                               std::span<tensor::Matrix> grads,
+                               tensor::Workspace& ws) const {
+  (void)backward_impl(dy, graph, cache, grads, ws, /*with_dx=*/false);
+}
+
+tensor::Matrix* RgatConv::backward_impl(const tensor::Matrix& dy,
+                                        const RelationalGraph& graph,
+                                        const Cache& cache,
+                                        std::span<tensor::Matrix> grads,
+                                        tensor::Workspace& ws,
+                                        bool with_dx) const {
   check(grads.size() == num_params(), "RgatConv::backward: bad grad span");
   check(cache.x != nullptr, "RgatConv::backward: cache without forward");
   const tensor::Matrix& x = *cache.x;
@@ -195,8 +214,11 @@ tensor::Matrix& RgatConv::backward(const tensor::Matrix& dy,
   }
 
   // Self-connection + bias.
-  tensor::Matrix& dx = ws.acquire_uninit(n, in_);
-  tensor::matmul_transpose_b_into(dx, *dpre, w_self_);
+  tensor::Matrix* dx = nullptr;
+  if (with_dx) {
+    dx = &ws.acquire_uninit(n, in_);
+    tensor::matmul_transpose_b_into(*dx, *dpre, w_self_);
+  }
   tensor::matmul_transpose_a_acc(grads[3 * num_relations_], x, *dpre);
   tensor::column_sums_acc(grads[3 * num_relations_ + 1], *dpre);
 
@@ -207,112 +229,61 @@ tensor::Matrix& RgatConv::backward(const tensor::Matrix& dy,
   // dg/ds_* accumulate (+=) and need the zero fill; dscore is assigned per
   // edge before its group reads it back.
   tensor::Matrix& dg = ws.acquire(total_active, out_);
-  tensor::Matrix& ds_src_m = ws.acquire(1, total_active);
-  tensor::Matrix& ds_dst_m = ws.acquire(1, total_active);
-  tensor::Matrix& dscore_m = ws.acquire_uninit(1, total_edges);
-  // LeakyReLU gradients for all edges in one dispatched elementwise pass —
-  // the same values the group loop used to compute one edge at a time.
-  tensor::Matrix& lrg_m = ws.acquire_uninit(1, total_edges);
-  tensor::simd::kernels().leaky_relu_grad(lrg_m.data().data(),
-                                          cache.raw->data().data(),
-                                          leaky_slope_, total_edges);
+  tensor::Matrix& ds_src = ws.acquire(1, total_active);
+  tensor::Matrix& ds_dst = ws.acquire(1, total_active);
+  tensor::Matrix& dscore = ws.acquire_uninit(1, total_edges);
+  // LeakyReLU gradients for all edges in one dispatched elementwise pass.
+  tensor::Matrix& lrg = ws.acquire_uninit(1, total_edges);
+  const tensor::simd::KernelTable& kernels = tensor::simd::kernels();
+  kernels.leaky_relu_grad(lrg.data().data(), cache.raw->data().data(),
+                          leaky_slope_, total_edges);
 
+  const float* xp = x.data().data();
+  float* dgp = dg.data().data();
   std::size_t edge_off = 0;
   std::size_t row_off = 0;
   for (std::size_t r = 0; r < num_relations_; ++r) {
     const RelationEdges& rel = graph.relations[r];
     if (rel.empty()) continue;
     const std::size_t na = rel.num_active_nodes();
-    auto lrg = lrg_m.row_span(0);
-    auto alpha = cache.alpha->row_span(0);
-    auto ds_src = ds_src_m.row_span(0);
-    auto ds_dst = ds_dst_m.row_span(0);
-    auto dscore = dscore_m.row_span(0);
-    const std::uint32_t* src_local = rel.src_local.data();
-    const float* gates = rel.gate.data();
+    check(grads[3 * r].rows() == in_ && grads[3 * r].cols() == out_ &&
+              grads[3 * r + 1].size() == out_ &&
+              grads[3 * r + 2].size() == out_,
+          "RgatConv::backward: grad shapes mismatch");
 
-    for (std::size_t group = 0; group < rel.num_groups(); ++group) {
-      const std::size_t lo = rel.group_offsets[group];
-      const std::size_t hi = rel.group_offsets[group + 1];
-      const std::uint32_t v_local = rel.group_dst[group];
-      const std::uint32_t v_global = rel.nodes[v_local];
-      auto dpre_row = dpre->row_span(v_global);
+    // Attention backward: dscore, the grouped softmax backward and the
+    // message path into dg/ds, then s = g . a  =>  dg += ds (x) a and
+    // da += ds * g.
+    tensor::simd::RgatEdgeBackward args;
+    args.group_offsets = rel.group_offsets.data();
+    args.group_dst = rel.group_dst.data();
+    args.num_groups = rel.num_groups();
+    args.nodes = rel.nodes.data();
+    args.num_active = na;
+    args.src_local = rel.src_local.data();
+    args.gates = rel.gate.data();
+    args.alpha = cache.alpha->data().data() + edge_off;
+    args.lrg = lrg.data().data() + edge_off;
+    args.g = cache.g->data().data() + row_off * out_;
+    args.dpre = dpre->data().data();
+    args.a_src = a_src_[r].data().data();
+    args.a_dst = a_dst_[r].data().data();
+    args.dscore = dscore.data().data() + edge_off;
+    args.dg = dgp + row_off * out_;
+    args.ds_src = ds_src.data().data() + row_off;
+    args.ds_dst = ds_dst.data().data() + row_off;
+    args.da_src = grads[3 * r + 1].data().data();
+    args.da_dst = grads[3 * r + 2].data().data();
+    args.out = out_;
+    kernels.rgat_edge_backward(args);
 
-      // dscore_e = d(out_v) . (gate_e * g_src); softmax backward within the
-      // group; message-path gradient back to g_src.
-      double weighted_sum = 0.0;  // sum_e alpha_e * dscore_e
-      for (std::size_t e = lo; e < hi; ++e) {
-        const std::uint32_t src = src_local[e];
-        const float* __restrict__ g_row =
-            cache.g->data().data() + (row_off + src) * out_;
-        double acc = 0.0;
-        for (std::size_t j = 0; j < out_; ++j)
-          acc += static_cast<double>(dpre_row[j]) * g_row[j];
-        dscore[edge_off + e] = gates[e] * static_cast<float>(acc);
-        weighted_sum +=
-            static_cast<double>(alpha[edge_off + e]) * dscore[edge_off + e];
-        const float scale = alpha[edge_off + e] * gates[e];
-        auto dg_row = dg.row_span(row_off + src);
-        for (std::size_t j = 0; j < out_; ++j) dg_row[j] += scale * dpre_row[j];
-      }
-      for (std::size_t e = lo; e < hi; ++e) {
-        const float dlogit =
-            alpha[edge_off + e] *
-            (dscore[edge_off + e] - static_cast<float>(weighted_sum));
-        const float draw = dlogit * lrg[edge_off + e];
-        ds_src[row_off + src_local[e]] += draw;
-        ds_dst[row_off + v_local] += draw;
-      }
-    }
-
-    // s = g . a  =>  dg += ds outer a; da += sum_i ds[i] * g_i.
-    auto a_src_row = a_src_[r].row_span(0);
-    auto a_dst_row = a_dst_[r].row_span(0);
-    auto da_src = grads[3 * r + 1].row_span(0);
-    auto da_dst = grads[3 * r + 2].row_span(0);
-    for (std::size_t i = 0; i < na; ++i) {
-      if (ds_src[row_off + i] != 0.0f) {
-        auto dg_row = dg.row_span(row_off + i);
-        auto g_row = cache.g->row_span(row_off + i);
-        for (std::size_t j = 0; j < out_; ++j) {
-          dg_row[j] += ds_src[row_off + i] * a_src_row[j];
-          da_src[j] += ds_src[row_off + i] * g_row[j];
-        }
-      }
-      if (ds_dst[row_off + i] != 0.0f) {
-        auto dg_row = dg.row_span(row_off + i);
-        auto g_row = cache.g->row_span(row_off + i);
-        for (std::size_t j = 0; j < out_; ++j) {
-          dg_row[j] += ds_dst[row_off + i] * a_dst_row[j];
-          da_dst[j] += ds_dst[row_off + i] * g_row[j];
-        }
-      }
-    }
-
-    // g = gather(x) W_r  =>  dW_r += gather(x)^T dg (fused, no x_local);
-    // dx[global] += (dg W_r^T)[local] (fused scatter, no dx_local).
-    tensor::Matrix& dw = grads[3 * r];
-    for (std::size_t i = 0; i < na; ++i) {
-      auto x_row = x.row_span(rel.nodes[i]);
-      auto dg_row = dg.row_span(row_off + i);
-      for (std::size_t k = 0; k < in_; ++k) {
-        const float aval = x_row[k];
-        if (aval == 0.0f) continue;
-        auto dw_row = dw.row_span(k);
-        for (std::size_t j = 0; j < out_; ++j) dw_row[j] += aval * dg_row[j];
-      }
-    }
-    for (std::size_t i = 0; i < na; ++i) {
-      auto dst = dx.row_span(rel.nodes[i]);
-      auto dg_row = dg.row_span(row_off + i);
-      for (std::size_t k = 0; k < in_; ++k) {
-        auto w_row = w_rel_[r].row_span(k);
-        double acc = 0.0;
-        for (std::size_t j = 0; j < out_; ++j)
-          acc += static_cast<double>(dg_row[j]) * w_row[j];
-        dst[k] += static_cast<float>(acc);
-      }
-    }
+    // g = gather(x) W_r  =>  dW_r += gather(x)^T dg (gathered, no x_local);
+    // dx[global] += (dg W_r^T)[local] (scattered, no dx_local).
+    kernels.matmul_t_a_acc(xp, rel.nodes.data(), dgp + row_off * out_,
+                           grads[3 * r].data().data(), in_, na, out_);
+    if (dx != nullptr)
+      kernels.matmul_t_b(dgp + row_off * out_, w_rel_[r].data().data(),
+                         dx->data().data(), na, out_, in_, rel.nodes.data());
 
     edge_off += rel.num_edges();
     row_off += na;

@@ -59,6 +59,13 @@ class RgatConv {
                            const Cache& cache, std::span<tensor::Matrix> grads,
                            tensor::Workspace& ws) const;
 
+  /// The parameter half of backward() alone — for the first layer, whose
+  /// input is the constant node encoding: neither the self-path dx nor the
+  /// W_r^T scatter runs. The gradients are byte-equal to backward()'s.
+  void backward_params(const tensor::Matrix& dy, const RelationalGraph& graph,
+                       const Cache& cache, std::span<tensor::Matrix> grads,
+                       tensor::Workspace& ws) const;
+
   /// Parameter layout: for each relation [W_r, a_src_r, a_dst_r], then
   /// W_self, b.
   [[nodiscard]] std::vector<tensor::Matrix*> parameters();
@@ -70,6 +77,14 @@ class RgatConv {
   [[nodiscard]] std::size_t num_relations() const { return num_relations_; }
 
  private:
+  /// backward() and backward_params(): dx is formed (and returned) only
+  /// when `with_dx`; nullptr otherwise.
+  tensor::Matrix* backward_impl(const tensor::Matrix& dy,
+                                const RelationalGraph& graph,
+                                const Cache& cache,
+                                std::span<tensor::Matrix> grads,
+                                tensor::Workspace& ws, bool with_dx) const;
+
   std::size_t in_;
   std::size_t out_;
   std::size_t num_relations_;

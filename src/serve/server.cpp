@@ -115,9 +115,12 @@ void Server::stop() {
   if (!started_.load() || stopped_.exchange(true)) return;
   stopping_.store(true);
 
-  // 1. No new connections: the closed listener fd drops out of io thread
-  //    0's epoll on its own, and handle_accept is gated on stopping_.
-  listener_.close();
+  // 1. No new connections: shutdown(2) only. io thread 0 may be inside
+  //    accept4 on the listener right now, so its descriptor stays open (its
+  //    number cannot be handed to another socket) until that thread has
+  //    been joined; handle_accept, gated on stopping_, drops it from the
+  //    epoll set.
+  listener_.shutdown();
 
   // 2. Drain: workers finish everything admitted, then exit on the empty
   //    queue (pop_batch returns empty once stopping_ && queue empty). The
@@ -150,6 +153,7 @@ void Server::stop() {
   for (auto& io : io_threads_) io->wake.signal();
   for (auto& io : io_threads_)
     if (io->thread.joinable()) io->thread.join();
+  listener_.close();
 }
 
 ServerStats Server::stats() const {
@@ -290,7 +294,11 @@ void Server::process_dirty(IoThread& io) {
 }
 
 void Server::handle_accept(IoThread& io) {
-  if (stopping_.load()) return;
+  if (stopping_.load()) {
+    // The shut-down listener reports EPOLLHUP until it leaves the set.
+    io.epoll.del(listener_.fd());
+    return;
+  }
   while (true) {
     int err = 0;
     Socket accepted = listener_.try_accept(err);
@@ -352,7 +360,7 @@ void Server::handle_readable(IoThread& io, const ConnectionPtr& conn) {
           conn->socket.read_some(io.read_buf.data(), io.read_buf.size());
       if (r.status == Socket::ReadStatus::kWouldBlock) break;
       if (r.status == Socket::ReadStatus::kEof) {
-        conn->read_closed = true;
+        conn->mark_read_closed();
         break;
       }
 
@@ -385,7 +393,7 @@ void Server::handle_readable(IoThread& io, const ConnectionPtr& conn) {
           case HeaderVerdict::kOk:
             break;  // unreachable: consume() only fails on a bad verdict
         }
-        conn->read_closed = true;
+        conn->mark_read_closed();
         break;
       }
       // A short read drained the socket; the next readiness event (level-

@@ -184,9 +184,14 @@ class Server {
     // Read-side state: touched ONLY by the owning io thread.
     FrameAssembler assembler;
     Clock::time_point last_activity{};
+    std::uint32_t armed_events = 0;  // events currently registered in epoll
+
+    // Written only by the owning io thread, and only under write_mutex:
+    // enqueue_reply reads both on worker threads, under write_mutex, to
+    // decide whether the io thread must wake to re-arm reads or to close.
+    // The io thread itself may read them without the lock.
     bool read_closed = false;     // peer EOF or fatal framing error
     bool read_gated = false;      // backpressure pause currently engaged
-    std::uint32_t armed_events = 0;  // events currently registered in epoll
 
     // Admitted-but-unanswered requests (read by the io thread's gate, also
     // the "still owed a reply" count that delays the final close).
@@ -200,6 +205,11 @@ class Server {
     std::atomic<std::size_t> write_queue_bytes{0};
     bool closed = false;  // fd gone — drop any further replies
     bool dirty = false;   // already queued on the io thread's dirty list
+
+    void mark_read_closed() {
+      std::lock_guard<std::mutex> lock(write_mutex);
+      read_closed = true;
+    }
   };
   using ConnectionPtr = std::shared_ptr<Connection>;
 

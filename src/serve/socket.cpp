@@ -250,12 +250,16 @@ void Listener::listen(std::uint16_t port, int backlog) {
   socket_ = std::move(sock);
 }
 
+void Listener::shutdown() {
+  if (socket_.valid()) ::shutdown(socket_.fd(), SHUT_RDWR);
+}
+
 void Listener::close() {
   // shutdown(2) before close: on Linux, close() alone does NOT wake a
   // thread blocked in accept(2) on the same descriptor — the accept loop
   // would sleep forever and stop() would deadlock joining it. shutdown
   // forces every blocked accept to return with an error first.
-  if (socket_.valid()) ::shutdown(socket_.fd(), SHUT_RDWR);
+  shutdown();
   socket_.close();
 }
 

@@ -163,8 +163,12 @@ class Listener {
   [[nodiscard]] Socket try_accept(int& err_out);
   /// O_NONBLOCK on the listening descriptor (for reactor-driven accepts).
   void set_nonblocking(bool on);
-  /// Wakes any thread blocked in accept() (shutdown(2) first — plain close
-  /// would leave it sleeping forever on Linux), then closes.
+  /// Wakes any thread blocked in accept() and fails every later accept,
+  /// but keeps the descriptor open: its number cannot be reused while
+  /// another thread may still pass fd() to accept4/epoll_ctl.
+  void shutdown();
+  /// shutdown() (plain close would leave a blocked accept() sleeping
+  /// forever on Linux), then closes. Only once no other thread uses fd().
   void close();
   [[nodiscard]] bool valid() const { return socket_.valid(); }
   [[nodiscard]] std::uint16_t bound_port() const { return port_; }

@@ -11,6 +11,7 @@
 #include "tensor/kernels_impl.inl"
 
 #include <string>
+#include <vector>
 
 #include "support/env.hpp"
 #include "tensor/kernels_detail.hpp"
@@ -91,5 +92,11 @@ const KernelTable& kernels_for(SimdLevel level) {
 }
 
 const KernelTable& kernels() { return kernels_for(active_level()); }
+
+double* detail::staging_doubles(std::size_t n) {
+  thread_local std::vector<double> buffer;
+  if (buffer.size() < n) buffer.resize(n);
+  return buffer.data();
+}
 
 }  // namespace pg::tensor::simd

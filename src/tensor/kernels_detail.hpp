@@ -4,6 +4,8 @@
 // facts the probe needs.
 #pragma once
 
+#include <cstddef>
+
 #include "tensor/simd.hpp"
 
 namespace pg::tensor::simd::detail {
@@ -20,5 +22,10 @@ bool avx2_compiled();
 
 /// "sse2" on x86, "neon" on aarch64 (display only).
 const char* vec128_isa_name();
+
+/// This thread's grow-only staging buffer for matmul_t_b's widened B^T, at
+/// least `n` doubles. Shared by every level's table; valid until this
+/// thread's next call.
+double* staging_doubles(std::size_t n);
 
 }  // namespace pg::tensor::simd::detail

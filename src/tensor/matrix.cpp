@@ -1,8 +1,8 @@
-// Row-major float32 matrix ops; the vectorisable bodies (matmul,
-// transpose-A accumulate, column sums, segmented mean) live in the
-// runtime-dispatched SIMD kernel layer — see tensor/simd.hpp for the
-// bitwise-determinism contract. matmul is OpenMP-parallel above a size
-// threshold.
+// Row-major float32 matrix ops; the vectorisable bodies (matmul, the
+// transpose-A accumulate and transpose-B product, column sums, segmented
+// mean) live in the runtime-dispatched SIMD kernel layer — see
+// tensor/simd.hpp for the bitwise-determinism contract. matmul is
+// OpenMP-parallel above a size threshold.
 #include "tensor/matrix.hpp"
 
 #include "support/check.hpp"
@@ -131,7 +131,7 @@ void matmul_transpose_a_acc(Matrix& c, const Matrix& a, const Matrix& b) {
   check(c.rows() == a.cols() && c.cols() == b.cols(),
         "matmul_transpose_a_acc: destination shape mismatch");
   // C[i,j] = sum_kk A[kk,i] * B[kk,j]; kk-outer body in the kernel layer.
-  simd::kernels().matmul_t_a_acc(a.data().data(), b.data().data(),
+  simd::kernels().matmul_t_a_acc(a.data().data(), nullptr, b.data().data(),
                                  c.data().data(), a.cols(), a.rows(),
                                  b.cols());
 }
@@ -146,22 +146,11 @@ void matmul_transpose_b_into(Matrix& c, const Matrix& a, const Matrix& b) {
   check(a.cols() == b.cols(), "matmul_transpose_b: col counts differ");
   check(c.rows() == a.rows() && c.cols() == b.rows(),
         "matmul_transpose_b_into: destination shape mismatch");
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  const std::size_t n = b.rows();
-  const float* __restrict__ pa = a.data().data();
-  const float* __restrict__ pb = b.data().data();
-  float* __restrict__ pc = c.data().data();
-  for (std::size_t i = 0; i < m; ++i) {
-    const float* __restrict__ arow = pa + i * k;
-    float* __restrict__ crow = pc + i * n;
-    for (std::size_t j = 0; j < n; ++j) {
-      const float* __restrict__ brow = pb + j * k;
-      double acc = 0.0;
-      for (std::size_t kk = 0; kk < k; ++kk) acc += static_cast<double>(arow[kk]) * brow[kk];
-      crow[j] = static_cast<float>(acc);
-    }
-  }
+  // C[i,j] = float(sum_kk double(A[i,kk]) * B[j,kk]), j lanes over a staged
+  // B^T in the kernel layer.
+  simd::kernels().matmul_t_b(a.data().data(), b.data().data(),
+                             c.data().data(), a.rows(), a.cols(), b.rows(),
+                             nullptr);
 }
 
 Matrix transpose(const Matrix& a) {

@@ -11,6 +11,13 @@
 //     reference. A prediction, gradient, or trained checkpoint is therefore
 //     byte-identical whether it ran under scalar, SSE2/NEON, or AVX2
 //     (pinned by kernels_test).
+//   * The backward kernels follow the same rule. Where the scalar reference
+//     reduces in double (every element of A * B^T: the Linear and RGAT input
+//     gradients and the W_r^T scatter), the kernel runs one double lane per
+//     output element: start at 0, add the exact double product of the two
+//     floats in kk order, round to float once. The RGAT edge backward keeps
+//     each edge's j-reduction in scalar j order (it only interleaves
+//     independent edges) and vectorises the gated dg updates across j.
 //
 // Dispatch: the best level is probed once at startup (compile-time ISA
 // availability + cpuid) and can be overridden with PARAGRAPH_SIMD=
@@ -45,6 +52,33 @@ struct AdamStep {
   double bias2 = 1.0;  // 1 - beta2^t
 };
 
+/// One relation's operands for KernelTable::rgat_edge_backward. The edge
+/// arrays are the relation's blocks (indexed by the relation's own edge
+/// slots); g, dg, ds_src and ds_dst start at the relation's first active row
+/// (indexed by local node); dpre is indexed by global node.
+struct RgatEdgeBackward {
+  const std::uint32_t* group_offsets = nullptr;  // num_groups + 1
+  const std::uint32_t* group_dst = nullptr;      // local dst per group
+  std::size_t num_groups = 0;
+  const std::uint32_t* nodes = nullptr;          // local -> global
+  std::size_t num_active = 0;
+  const std::uint32_t* src_local = nullptr;      // per edge
+  const float* gates = nullptr;                  // per edge
+  const float* alpha = nullptr;                  // per edge (forward softmax)
+  const float* lrg = nullptr;                    // per edge, LeakyReLU'(raw)
+  const float* g = nullptr;                      // [num_active x out]
+  const float* dpre = nullptr;                   // [N x out]
+  const float* a_src = nullptr;                  // [out]
+  const float* a_dst = nullptr;                  // [out]
+  float* dscore = nullptr;                       // per edge, scratch
+  float* dg = nullptr;                           // [num_active x out], +=
+  float* ds_src = nullptr;                       // [num_active], +=
+  float* ds_dst = nullptr;                       // [num_active], +=
+  float* da_src = nullptr;                       // [out], +=
+  float* da_dst = nullptr;                       // [out], +=
+  std::size_t out = 0;
+};
+
 /// One dispatch level's kernel entry points. All pointers are non-null in
 /// every table; raw-pointer signatures so nn/ and tensor/ call sites can
 /// pass workspace-backed storage without shape re-validation (callers check
@@ -56,8 +90,21 @@ struct KernelTable {
                  std::size_t k, std::size_t n, bool parallel);
   /// C += A^T * B without materialising the transpose (kk-outer loop over
   /// A's rows, zero-skip on A entries). m = A.cols, k = A.rows, n = B.cols.
-  void (*matmul_t_a_acc)(const float* a, const float* b, float* c,
-                         std::size_t m, std::size_t k, std::size_t n);
+  /// A non-null `a_rows` gathers A: row kk of A is a[a_rows[kk] * m + :]
+  /// (the RGAT dW_r += gather(x)^T dg, with no gathered copy of x).
+  void (*matmul_t_a_acc)(const float* a, const std::uint32_t* a_rows,
+                         const float* b, float* c, std::size_t m,
+                         std::size_t k, std::size_t n);
+  /// C = A * B^T, A [m x k], B [n x k], C [m x n]: every element is a
+  /// double accumulator started at 0 that adds double(a) * double(b) in kk
+  /// order and rounds to float once. B^T is staged (widened to double) in a
+  /// per-thread grow-only buffer of the kernel layer, so the j lanes load
+  /// contiguously. A non-null `scatter_rows` makes it the RGAT input-
+  /// gradient scatter: C[scatter_rows[i]] += (A * B^T)[i] (the float add on
+  /// top of the rounded sum); otherwise rows 0..m of C are overwritten.
+  void (*matmul_t_b)(const float* a, const float* b, float* c, std::size_t m,
+                     std::size_t k, std::size_t n,
+                     const std::uint32_t* scatter_rows);
   /// sums[j] += sum_i a[i,j] (bias-gradient reduction; row order preserved).
   void (*column_sums_acc)(float* sums, const float* a, std::size_t rows,
                           std::size_t cols);
@@ -101,6 +148,13 @@ struct KernelTable {
                                  const float* sd, float slope, float* raw,
                                  float* alpha, const float* gbuf, float* pre,
                                  std::size_t out, std::size_t row_off);
+  /// RGAT attention backward over one relation (see RgatEdgeBackward): per
+  /// destination group, dscore_e = gate_e * (dpre_v . g_src) (one double
+  /// j-reduction per edge, in scalar j order), the softmax backward (double
+  /// weighted sum in e order) into ds_src/ds_dst, and the gated message
+  /// gradient dg_src += alpha_e * gate_e * dpre_v in e order; then, per
+  /// active row, dg += ds (x) a and da += ds * g with today's zero-skip.
+  void (*rgat_edge_backward)(const RgatEdgeBackward& rel);
 };
 
 /// Best level this binary + CPU can run (probed once).

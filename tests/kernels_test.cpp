@@ -7,18 +7,25 @@
 // parity (predictions and trained checkpoints byte-equal across levels).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <utility>
 #include <vector>
 
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
+#include "io/pgraph_io.hpp"
 #include "model/encoding.hpp"
 #include "model/engine.hpp"
+#include "model/graph_batch.hpp"
 #include "model/trainer.hpp"
 #include "nn/adam.hpp"
+#include "nn/relational_graph.hpp"
 #include "support/check.hpp"
 #include "support/rng.hpp"
 #include "tensor/init.hpp"
@@ -97,9 +104,9 @@ TEST(KernelParity, MatmulTransposeAAccumulate) {
     const Matrix b = random_matrix(k, n, rng);
     Matrix c0 = random_matrix(m, n, rng);  // accumulate on identical bases
     Matrix c1 = c0;
-    scalar_table().matmul_t_a_acc(a.data().data(), b.data().data(),
+    scalar_table().matmul_t_a_acc(a.data().data(), nullptr, b.data().data(),
                                   c0.data().data(), m, k, n);
-    best_table().matmul_t_a_acc(a.data().data(), b.data().data(),
+    best_table().matmul_t_a_acc(a.data().data(), nullptr, b.data().data(),
                                 c1.data().data(), m, k, n);
     expect_bytes_equal(c0, c1, "matmul_t_a_acc");
   }
@@ -220,6 +227,252 @@ TEST(KernelParity, AdamUpdateSequences) {
   }
 }
 
+// ------------------------------------------------------- backward ---------
+//
+// The backward kernels are pinned to literal transcriptions of the scalar
+// loops they replaced, at the scalar table and at every vector level.
+
+/// Every supported level's table, scalar first.
+std::vector<SimdLevel> supported_levels() {
+  std::vector<SimdLevel> levels;
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2})
+    if (level_supported(level)) levels.push_back(level);
+  return levels;
+}
+
+/// Sorted unique row ids: every `stride`-th of [0, count * stride).
+std::vector<std::uint32_t> strided_rows(std::size_t count, std::size_t stride) {
+  std::vector<std::uint32_t> rows;
+  for (std::size_t i = 0; i < count; ++i)
+    rows.push_back(static_cast<std::uint32_t>(i * stride + 1));
+  return rows;
+}
+
+/// C = A * B^T the way Linear/RGAT dx used to be formed (rows == nullptr),
+/// or the RGAT scatter C[rows[i]] += (A * B^T)[i].
+void reference_t_b(const Matrix& a, const Matrix& b, Matrix& c,
+                   const std::uint32_t* rows) {
+  for (std::size_t i = 0; i < a.rows(); ++i) {
+    auto dst = c.row_span(rows != nullptr ? rows[i] : i);
+    auto arow = a.row_span(i);
+    for (std::size_t j = 0; j < b.rows(); ++j) {
+      auto brow = b.row_span(j);
+      double acc = 0.0;
+      for (std::size_t kk = 0; kk < a.cols(); ++kk)
+        acc += static_cast<double>(arow[kk]) * brow[kk];
+      if (rows != nullptr)
+        dst[j] += static_cast<float>(acc);
+      else
+        dst[j] = static_cast<float>(acc);
+    }
+  }
+}
+
+TEST(KernelParity, MatmulTransposeBMatchesScalarChain) {
+  pg::Rng rng(41);
+  // n: the templated widths 8/24, the runtime width 10 and 45 (the node
+  // encoding width: remainder lanes at every level); m = 0 is a no-op.
+  for (const std::size_t n : {8u, 10u, 24u, 45u}) {
+    for (const std::size_t k : {8u, 10u, 24u}) {
+      for (const std::size_t m : {0u, 1u, 7u}) {
+        Matrix a = random_matrix(m, k, rng, 0.3);
+        if (m > 2)
+          for (float& v : a.row_span(2)) v = 0.0f;  // an all-zero row
+        const Matrix b = random_matrix(n, k, rng);
+        Matrix expected(m, n, 0.5f);
+        reference_t_b(a, b, expected, nullptr);
+        for (const SimdLevel level : supported_levels()) {
+          Matrix c(m, n, -0.5f);  // garbage: must be overwritten
+          kernels_for(level).matmul_t_b(a.data().data(), b.data().data(),
+                                        c.data().data(), m, k, n, nullptr);
+          expect_bytes_equal(expected, c, level_name(level));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParity, MatmulTransposeBScatterMatchesScalarChain) {
+  pg::Rng rng(43);
+  for (const std::size_t n : {8u, 10u, 24u, 45u}) {
+    for (const std::size_t k : {8u, 10u, 24u}) {
+      for (const std::size_t na : {0u, 3u, 11u}) {
+        const std::vector<std::uint32_t> rows = strided_rows(na, 2);
+        Matrix dg = random_matrix(na, k, rng, 0.2);
+        if (na > 1)
+          for (float& v : dg.row_span(1)) v = 0.0f;
+        const Matrix w = random_matrix(n, k, rng);
+        const Matrix base = random_matrix(2 * na + 3, n, rng);
+        Matrix expected = base;
+        reference_t_b(dg, w, expected, rows.data());
+        for (const SimdLevel level : supported_levels()) {
+          Matrix dx = base;
+          kernels_for(level).matmul_t_b(dg.data().data(), w.data().data(),
+                                        dx.data().data(), na, k, n,
+                                        rows.data());
+          expect_bytes_equal(expected, dx, level_name(level));
+        }
+      }
+    }
+  }
+}
+
+TEST(KernelParity, GatheredOuterProductMatchesScalarLoop) {
+  pg::Rng rng(47);
+  // m = in (45 / 24 / 10), n = out (8 / 10 / 24), k = active rows.
+  for (const std::size_t in : {10u, 24u, 45u}) {
+    for (const std::size_t out : {8u, 10u, 24u}) {
+      for (const std::size_t na : {0u, 5u, 13u}) {
+        const std::vector<std::uint32_t> nodes = strided_rows(na, 3);
+        Matrix x = random_matrix(3 * na + 2, in, rng, 0.6);
+        if (na > 2)
+          for (float& v : x.row_span(nodes[2])) v = 0.0f;  // skipped whole
+        const Matrix dg = random_matrix(na, out, rng);
+        const Matrix base = random_matrix(in, out, rng);
+        Matrix expected = base;
+        for (std::size_t i = 0; i < na; ++i) {
+          auto x_row = x.row_span(nodes[i]);
+          auto dg_row = dg.row_span(i);
+          for (std::size_t kk = 0; kk < in; ++kk) {
+            const float aval = x_row[kk];
+            if (aval == 0.0f) continue;
+            auto dw_row = expected.row_span(kk);
+            for (std::size_t j = 0; j < out; ++j)
+              dw_row[j] += aval * dg_row[j];
+          }
+        }
+        for (const SimdLevel level : supported_levels()) {
+          Matrix dw = base;
+          kernels_for(level).matmul_t_a_acc(x.data().data(), nodes.data(),
+                                            dg.data().data(), dw.data().data(),
+                                            in, na, out);
+          expect_bytes_equal(expected, dw, level_name(level));
+        }
+      }
+    }
+  }
+}
+
+/// Output buffers of one relation's attention backward.
+struct EdgeGrads {
+  Matrix dscore, dg, ds_src, ds_dst, da_src, da_dst;
+};
+
+/// The RGAT attention backward as the scalar loop in RgatConv::backward
+/// ran it before it moved into the kernel table.
+void reference_edge_backward(const nn::RelationEdges& rel, const Matrix& alpha,
+                             const Matrix& lrg, const Matrix& g,
+                             const Matrix& dpre, const Matrix& a_src,
+                             const Matrix& a_dst, EdgeGrads& o) {
+  const std::size_t out = g.cols();
+  for (std::size_t group = 0; group < rel.num_groups(); ++group) {
+    const std::size_t lo = rel.group_offsets[group];
+    const std::size_t hi = rel.group_offsets[group + 1];
+    const std::uint32_t v_local = rel.group_dst[group];
+    auto dpre_row = dpre.row_span(rel.nodes[v_local]);
+    double weighted_sum = 0.0;
+    for (std::size_t e = lo; e < hi; ++e) {
+      const std::uint32_t src = rel.src_local[e];
+      auto g_row = g.row_span(src);
+      double acc = 0.0;
+      for (std::size_t j = 0; j < out; ++j)
+        acc += static_cast<double>(dpre_row[j]) * g_row[j];
+      o.dscore(0, e) = rel.gate[e] * static_cast<float>(acc);
+      weighted_sum += static_cast<double>(alpha(0, e)) * o.dscore(0, e);
+      const float scale = alpha(0, e) * rel.gate[e];
+      auto dg_row = o.dg.row_span(src);
+      for (std::size_t j = 0; j < out; ++j) dg_row[j] += scale * dpre_row[j];
+    }
+    for (std::size_t e = lo; e < hi; ++e) {
+      const float dlogit =
+          alpha(0, e) * (o.dscore(0, e) - static_cast<float>(weighted_sum));
+      const float draw = dlogit * lrg(0, e);
+      o.ds_src(0, rel.src_local[e]) += draw;
+      o.ds_dst(0, v_local) += draw;
+    }
+  }
+  for (std::size_t i = 0; i < rel.num_active_nodes(); ++i) {
+    auto dg_row = o.dg.row_span(i);
+    auto g_row = g.row_span(i);
+    if (o.ds_src(0, i) != 0.0f)
+      for (std::size_t j = 0; j < out; ++j) {
+        dg_row[j] += o.ds_src(0, i) * a_src(0, j);
+        o.da_src(0, j) += o.ds_src(0, i) * g_row[j];
+      }
+    if (o.ds_dst(0, i) != 0.0f)
+      for (std::size_t j = 0; j < out; ++j) {
+        dg_row[j] += o.ds_dst(0, i) * a_dst(0, j);
+        o.da_dst(0, j) += o.ds_dst(0, i) * g_row[j];
+      }
+  }
+}
+
+TEST(KernelParity, RgatEdgeBackwardMatchesScalarLoop) {
+  pg::Rng rng(53);
+  for (const std::size_t out : {8u, 10u, 24u}) {
+    // Edge counts: empty, a lone edge, and fan-ins of up to ~9 edges per
+    // destination (4-edge blocks plus remainders), duplicates included.
+    for (const std::size_t m : {0u, 1u, 40u}) {
+      const std::size_t n = 12;
+      std::vector<nn::RelEdge> edges;
+      for (std::size_t e = 0; e < m; ++e)
+        edges.push_back({static_cast<std::uint32_t>(rng.uniform_int(0, 11)),
+                         static_cast<std::uint32_t>(rng.uniform_int(0, 4)),
+                         static_cast<float>(rng.uniform(0.1, 1.0))});
+      const nn::RelationEdges rel = nn::RelationEdges::from_edges(edges);
+      const std::size_t na = rel.num_active_nodes();
+      const Matrix alpha = random_matrix(1, m, rng);
+      Matrix lrg(1, m);
+      for (float& v : lrg.data()) v = rng.uniform() < 0.5 ? 1.0f : 0.2f;
+      const Matrix g = random_matrix(na, out, rng, 0.2);
+      Matrix dpre = random_matrix(n, out, rng);
+      for (float& v : dpre.row_span(3)) v = 0.0f;  // a zero dy row
+      const Matrix a_src = random_matrix(1, out, rng);
+      const Matrix a_dst = random_matrix(1, out, rng);
+      const EdgeGrads base{Matrix(1, m), random_matrix(na, out, rng),
+                           Matrix(1, na), Matrix(1, na),
+                           random_matrix(1, out, rng),
+                           random_matrix(1, out, rng)};
+      EdgeGrads expected = base;
+      reference_edge_backward(rel, alpha, lrg, g, dpre, a_src, a_dst,
+                              expected);
+      for (const SimdLevel level : supported_levels()) {
+        EdgeGrads got = base;
+        RgatEdgeBackward args;
+        args.group_offsets = rel.group_offsets.data();
+        args.group_dst = rel.group_dst.data();
+        args.num_groups = rel.num_groups();
+        args.nodes = rel.nodes.data();
+        args.num_active = na;
+        args.src_local = rel.src_local.data();
+        args.gates = rel.gate.data();
+        args.alpha = alpha.data().data();
+        args.lrg = lrg.data().data();
+        args.g = g.data().data();
+        args.dpre = dpre.data().data();
+        args.a_src = a_src.data().data();
+        args.a_dst = a_dst.data().data();
+        args.dscore = got.dscore.data().data();
+        args.dg = got.dg.data().data();
+        args.ds_src = got.ds_src.data().data();
+        args.ds_dst = got.ds_dst.data().data();
+        args.da_src = got.da_src.data().data();
+        args.da_dst = got.da_dst.data().data();
+        args.out = out;
+        kernels_for(level).rgat_edge_backward(args);
+        const char* name = level_name(level);
+        expect_bytes_equal(expected.dscore, got.dscore, name);
+        expect_bytes_equal(expected.dg, got.dg, name);
+        expect_bytes_equal(expected.ds_src, got.ds_src, name);
+        expect_bytes_equal(expected.ds_dst, got.ds_dst, name);
+        expect_bytes_equal(expected.da_src, got.da_src, name);
+        expect_bytes_equal(expected.da_dst, got.da_dst, name);
+      }
+    }
+  }
+}
+
 // ------------------------------------------------------ end-to-end ---------
 
 graph::ProgramGraph small_graph() {
@@ -311,6 +564,82 @@ TEST(EndToEndParity, TrainedCheckpointBitwiseAcrossLevels) {
   EXPECT_EQ(std::memcmp(scalar_params.data(), simd_params.data(),
                         scalar_params.size() * sizeof(float)),
             0);
+}
+
+/// FNV-1a over `n` bytes, chained through `h`.
+std::uint64_t fnv1a(const void* data, std::size_t n,
+                    std::uint64_t h = 0xcbf29ce484222325ull) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (std::size_t i = 0; i < n; ++i) {
+    h ^= p[i];
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// The golden .psample graphs, in file-name order.
+std::vector<model::TrainingSample> golden_samples() {
+  std::vector<std::string> paths;
+  for (const auto& entry : std::filesystem::directory_iterator(PG_GOLDEN_DIR))
+    if (entry.path().extension() == ".psample")
+      paths.push_back(entry.path().string());
+  std::sort(paths.begin(), paths.end());
+  std::vector<model::TrainingSample> samples;
+  for (const std::string& path : paths)
+    samples.push_back(io::read_sample_file(path));
+  return samples;
+}
+
+/// One fused forward+backward over the golden graphs packed into a single
+/// GraphBatch under `level`: FNV-1a over the loss, every prediction and
+/// every gradient byte.
+std::uint64_t golden_batch_gradient_hash(SimdLevel level, std::size_t hidden) {
+  LevelGuard guard;
+  set_active_level(level);
+  const std::vector<model::TrainingSample> samples = golden_samples();
+  std::vector<const model::EncodedGraph*> graphs;
+  Matrix aux(samples.size(), 2);
+  std::vector<double> targets;
+  for (std::size_t b = 0; b < samples.size(); ++b) {
+    graphs.push_back(&samples[b].graph);
+    aux(b, 0) = samples[b].aux[0];
+    aux(b, 1) = samples[b].aux[1];
+    targets.push_back(samples[b].target_scaled);
+  }
+  model::GraphBatch batch;
+  batch.pack(graphs);
+  model::ParaGraphModel m(
+      model::ModelConfig{.hidden_dim = hidden, .seed = 1234});
+  std::vector<Matrix> grads;
+  for (auto* p : m.parameters()) grads.emplace_back(p->rows(), p->cols());
+  Workspace ws;
+  const double loss =
+      m.accumulate_gradients_batch(batch, aux, targets, 0.25, grads, ws);
+  std::vector<double> preds(samples.size());
+  m.predict_batch(batch, aux, preds, ws);
+  std::uint64_t h = fnv1a(&loss, sizeof loss);
+  h = fnv1a(preds.data(), preds.size() * sizeof(double), h);
+  for (const Matrix& g : grads) h = fnv1a(g.data().data(), g.size() * 4, h);
+  return h;
+}
+
+TEST(EndToEndParity, GoldenBatchGradientHashPinnedAtEveryLevel) {
+  // The constants were recorded before the backward moved into the kernel
+  // table; any change to a gradient bit at any level changes them. hidden
+  // 24 runs the templated widths, 10 the runtime-width paths.
+  ASSERT_EQ(golden_samples().size(), 4u);
+  const std::array<std::pair<std::size_t, std::uint64_t>, 2> pins = {{
+      {24, 0x5f1e1b85fd0d0b27ull},
+      {10, 0x9781eddd34bb91eeull},
+  }};
+  for (const SimdLevel level :
+       {SimdLevel::kScalar, SimdLevel::kSse2, SimdLevel::kAvx2}) {
+    if (!level_supported(level)) continue;
+    for (const auto& [hidden, expected] : pins)
+      EXPECT_EQ(golden_batch_gradient_hash(level, hidden), expected)
+          << level_name(level) << " hidden " << hidden << " got 0x" << std::hex
+          << golden_batch_gradient_hash(level, hidden);
+  }
 }
 
 // --------------------------------------------------- dispatch probe --------

@@ -5,6 +5,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "nn/activation.hpp"
@@ -450,6 +451,99 @@ TEST(RgatConv, GateScalesMessages) {
   // Node 0 (no incoming edge) identical; node 1 differs with the gate.
   EXPECT_FLOAT_EQ(y0(0, 0), y1(0, 0));
   EXPECT_NE(y0(1, 0), y1(1, 0));
+}
+
+/// Random multigraph over `n` nodes: one relation per entry of
+/// `edges_per_relation` (0 makes an empty relation), duplicates and
+/// self-loops included, gates in (0, 1].
+RelationalGraph random_multigraph(std::size_t n,
+                                  std::vector<std::size_t> edges_per_relation,
+                                  pg::Rng& rng) {
+  RelationalGraph g;
+  g.num_nodes = n;
+  const auto last = static_cast<std::int64_t>(n) - 1;
+  for (const std::size_t m : edges_per_relation) {
+    std::vector<RelEdge> edges;
+    for (std::size_t e = 0; e < m; ++e)
+      edges.push_back({static_cast<std::uint32_t>(rng.uniform_int(0, last)),
+                       static_cast<std::uint32_t>(rng.uniform_int(0, last)),
+                       static_cast<float>(rng.uniform(0.05, 1.0))});
+    g.relations.push_back(RelationEdges::from_edges(std::move(edges)));
+  }
+  return g;
+}
+
+bool bytes_equal(const tensor::Matrix& a, const tensor::Matrix& b) {
+  return a.same_shape(b) &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.size() * sizeof(float)) == 0;
+}
+
+TEST(RgatConv, BackwardParamsMatchFullBackwardBytes) {
+  // The no-dx path must accumulate exactly the parameter gradients of the
+  // full path: 45 inputs (the node-encoding width, remainder lanes), the
+  // templated width 24 and the runtime width 10, an empty relation, and
+  // one-hot-sparse inputs so the dW zero-skip runs.
+  for (const std::size_t out : {24u, 10u}) {
+    pg::Rng rng(40 + out);
+    const std::size_t n = 37;
+    const std::size_t in = 45;
+    RgatConv conv(in, out, 3, rng);
+    const RelationalGraph g = random_multigraph(n, {60, 0, 25}, rng);
+    tensor::Matrix x(n, in);
+    for (std::size_t i = 0; i < n; ++i) {
+      x(i, i % in) = 1.0f;
+      x(i, in - 1) = static_cast<float>(rng.uniform(0.0, 1.0));
+    }
+    tensor::Matrix dy(n, out);
+    tensor::uniform_init(dy, rng, -1.0f, 1.0f);
+
+    auto run = [&](bool with_dx) {
+      std::vector<tensor::Matrix> grads;
+      for (auto* p : conv.parameters()) grads.emplace_back(p->rows(), p->cols());
+      tensor::Workspace ws;
+      RgatConv::Cache cache;
+      (void)conv.forward(x, g, cache, ws);
+      if (with_dx) {
+        const tensor::Matrix& dx = conv.backward(dy, g, cache, grads, ws);
+        EXPECT_EQ(dx.rows(), n);
+        EXPECT_EQ(dx.cols(), in);
+      } else {
+        conv.backward_params(dy, g, cache, grads, ws);
+      }
+      return grads;
+    };
+    const auto full = run(true);
+    const auto params_only = run(false);
+    ASSERT_EQ(full.size(), params_only.size());
+    for (std::size_t p = 0; p < full.size(); ++p)
+      EXPECT_TRUE(bytes_equal(full[p], params_only[p]))
+          << "out " << out << " parameter " << p;
+  }
+}
+
+TEST(Linear, BackwardParamsMatchFullBackwardBytes) {
+  pg::Rng rng(9);
+  Linear layer(10, 24, rng);
+  tensor::Matrix x(5, 10);
+  tensor::Matrix dy(5, 24);
+  tensor::uniform_init(x, rng, -1.0f, 1.0f);
+  tensor::uniform_init(dy, rng, -1.0f, 1.0f);
+  auto grads_of = [&](bool with_dx) {
+    std::vector<tensor::Matrix> grads;
+    grads.emplace_back(10, 24);
+    grads.emplace_back(1, 24);
+    tensor::Workspace ws;
+    if (with_dx)
+      (void)layer.backward(x, dy, grads, ws);
+    else
+      layer.backward_params(x, dy, grads);
+    return grads;
+  };
+  const auto full = grads_of(true);
+  const auto params_only = grads_of(false);
+  EXPECT_TRUE(bytes_equal(full[0], params_only[0]));
+  EXPECT_TRUE(bytes_equal(full[1], params_only[1]));
 }
 
 TEST(RgatConv, RelationCountMismatchThrows) {
