@@ -5,6 +5,7 @@
 // write queues with gathered (single-syscall) flushes.
 #include "serve/server.hpp"
 
+#include <omp.h>
 #include <sys/epoll.h>
 #include <sys/uio.h>
 
@@ -46,6 +47,7 @@ ServeConfig apply_serve_knobs(ServeConfig c, const KnobSource& source) {
   };
   knob(&ServeConfig::port, "PARAGRAPH_SERVE_PORT", "--port", 0, 65535);
   knob(&ServeConfig::workers, "PARAGRAPH_SERVE_WORKERS", "--workers", 1, 256);
+  knob(&ServeConfig::shard_threads, "PARAGRAPH_THREADS", "--threads", 1, 256);
   knob(&ServeConfig::io_threads, "PARAGRAPH_SERVE_IO_THREADS", "--io-threads",
        0, 64);
   knob(&ServeConfig::queue_depth, "PARAGRAPH_SERVE_QUEUE", "--queue-depth", 1,
@@ -632,7 +634,13 @@ std::vector<Server::Pending> Server::pop_batch() {
 void Server::worker_loop(std::size_t /*worker_index*/) {
   // Each worker owns its engine shard: InferenceEngine keys its per-thread
   // state by OpenMP thread ids, which distinct std::threads share — one
-  // engine per worker keeps the workspace arenas disjoint.
+  // engine per worker keeps the workspace arenas disjoint. The OpenMP
+  // thread count is per thread and a new std::thread starts from the
+  // global default (OMP_NUM_THREADS or the core count), so the shard's
+  // team size is set here, on the worker itself, and before the engine
+  // sizes its per-thread pool from it. Left at the default, every shard's
+  // first multi-chunk batch would open a team as wide as the machine.
+  omp_set_num_threads(static_cast<int>(config_.shard_threads));
   model::InferenceEngine engine(*model_);
 
   std::vector<model::EncodedGraph> graphs;

@@ -35,16 +35,18 @@
 //
 // Each worker owns a private InferenceEngine shard (engine per-thread state
 // is keyed by OpenMP thread ids, which std::threads share — sharding keeps
-// the arenas disjoint). Because the fused engine is bitwise-identical to
-// predict_one regardless of how graphs are coalesced, every reply is
-// bitwise-equal to a single-threaded in-process prediction no matter how
-// the batching window cut the traffic (tests/serve_test.cpp pins this).
-// Reply write coalescing moves bytes, never values: frames are concatenated
-// verbatim, so the wire bytes are identical to one write_all per frame.
+// the arenas disjoint) and runs it on shard_threads OpenMP threads, 1 by
+// default, so the shards are the daemon's compute parallelism. Because the
+// fused engine is bitwise-identical to predict_one regardless of how graphs
+// are coalesced, every reply is bitwise-equal to a single-threaded
+// in-process prediction no matter how the batching window cut the traffic
+// (tests/serve_test.cpp pins this). Reply write coalescing moves bytes,
+// never values: frames are concatenated verbatim, so the wire bytes are
+// identical to one write_all per frame.
 //
-// The daemon's thread count is FIXED at io_threads + workers regardless of
-// connection count — thousands of mostly-idle connections cost a few
-// hundred bytes of state each, not a blocked reader thread each
+// The daemon's thread count is FIXED at io_threads + workers * shard_threads
+// regardless of connection count — thousands of mostly-idle connections
+// cost a few hundred bytes of state each, not a blocked reader thread each
 // (tests/serve_concurrency_test.cpp pins the thread ceiling under 512 idle
 // + 32 active connections).
 //
@@ -87,6 +89,9 @@ struct ServeConfig {
   std::size_t batch_max = 16;     // flush the batching window at N graphs...
   std::uint32_t batch_window_us = 200;  // ...or T microseconds, whichever first
   std::size_t workers = 1;        // InferenceEngine shards
+  // OpenMP threads inside each shard's engine; the daemon runs
+  // io_threads + workers * shard_threads threads.
+  std::size_t shard_threads = 1;
   std::size_t io_threads = 0;     // reactor threads; 0 = min(4, cores)
   // Per-connection read-gating caps (level-triggered backpressure): stop
   // polling a connection for reads while it has this many admitted-but-
@@ -115,7 +120,8 @@ ServeConfig apply_serve_knobs(ServeConfig base, const KnobSource& source);
 
 /// apply_serve_knobs over the environment: PARAGRAPH_SERVE_PORT, _WORKERS,
 /// _IO_THREADS, _QUEUE, _BATCH, _WINDOW_US, _IDLE_TIMEOUT_MS,
-/// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_CAP override the defaults.
+/// _CONN_INFLIGHT, _WRITEQ_CAP, _CACHE, _CACHE_CAP and PARAGRAPH_THREADS
+/// (shard_threads) override the defaults.
 ServeConfig serve_config_from_env(ServeConfig base = {});
 
 /// Monotonic counters; safe to read while the server runs.

@@ -17,7 +17,9 @@ std::int64_t env_int(const char* name, std::int64_t fallback);
 /// Worker-thread override: `PARAGRAPH_THREADS` as a positive integer, or 0
 /// when unset/invalid — 0 means "keep the OpenMP default". Consumers (the
 /// CLI's predict/corpus subcommands) pass a positive value to
-/// omp_set_num_threads before building engines or datasets.
+/// omp_set_num_threads before building engines or datasets. paragraph-serve
+/// reads the same variable through serve::apply_serve_knobs instead, as the
+/// per-shard thread count (unset = 1).
 std::int64_t env_thread_count();
 
 /// Upper bound env_chunk_size clamps to (one fused block-diagonal batch of

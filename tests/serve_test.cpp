@@ -585,8 +585,13 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
       unsetenv("PARAGRAPH_SERVE_WRITEQ_CAP");
       unsetenv("PARAGRAPH_SERVE_CACHE");
       unsetenv("PARAGRAPH_SERVE_CACHE_CAP");
+      unsetenv("PARAGRAPH_THREADS");
     }
   } restore;
+  // Unset, each engine shard runs on one thread.
+  unsetenv("PARAGRAPH_THREADS");
+  EXPECT_EQ(serve::serve_config_from_env().shard_threads, 1u);
+
   setenv("PARAGRAPH_SERVE_WORKERS", "3", 1);
   setenv("PARAGRAPH_SERVE_IO_THREADS", "2", 1);
   setenv("PARAGRAPH_SERVE_QUEUE", "0", 1);  // below the floor of 1 -> clamped
@@ -595,6 +600,7 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   setenv("PARAGRAPH_SERVE_WRITEQ_CAP", "1", 1);  // floor is 4096 -> clamped
   setenv("PARAGRAPH_SERVE_CACHE", "1", 1);
   setenv("PARAGRAPH_SERVE_CACHE_CAP", "64", 1);
+  setenv("PARAGRAPH_THREADS", "3", 1);
   const serve::ServeConfig config = serve::serve_config_from_env();
   EXPECT_EQ(config.workers, 3u);
   EXPECT_EQ(config.io_threads, 2u);
@@ -604,17 +610,24 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   EXPECT_EQ(config.write_queue_cap, 4096u);
   EXPECT_TRUE(config.cache);
   EXPECT_EQ(config.cache_capacity, 64u);
+  EXPECT_EQ(config.shard_threads, 3u);
 
   // Out of range: clamped to the bounds, never wrapped or narrowed.
   setenv("PARAGRAPH_SERVE_PORT", "70000", 1);
   setenv("PARAGRAPH_SERVE_WORKERS", "0", 1);
   setenv("PARAGRAPH_SERVE_CACHE", "7", 1);
   setenv("PARAGRAPH_SERVE_CACHE_CAP", "-1", 1);
+  setenv("PARAGRAPH_THREADS", "1000", 1);
   const serve::ServeConfig wild = serve::serve_config_from_env();
   EXPECT_EQ(wild.port, 65535u);
   EXPECT_EQ(wild.workers, 1u);
   EXPECT_TRUE(wild.cache);
   EXPECT_EQ(wild.cache_capacity, 1u);
+  EXPECT_EQ(wild.shard_threads, 256u);
+  for (const char* low : {"0", "-4"}) {
+    setenv("PARAGRAPH_THREADS", low, 1);
+    EXPECT_EQ(serve::serve_config_from_env().shard_threads, 1u) << low;
+  }
 
   // paragraph-serve's flags go through the same table: a source that
   // answers by flag name stands in for its argv.
@@ -622,7 +635,8 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
       {"--port", 70000},       {"--workers", 0},
       {"--io-threads", 1000},  {"--queue-depth", -5},
       {"--batch-max", 1 << 30}, {"--window-us", -1},
-      {"--idle-timeout-ms", -1}, {"--cache-cap", -1}};
+      {"--idle-timeout-ms", -1}, {"--cache-cap", -1},
+      {"--threads", 1000}};
   const serve::ServeConfig flagged = serve::apply_serve_knobs(
       {}, [&](const char*, const char* flag, std::int64_t current) {
         for (const auto& [name, value] : flags)
@@ -637,6 +651,24 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   EXPECT_EQ(flagged.batch_window_us, 0u);
   EXPECT_EQ(flagged.idle_timeout_ms, 0);
   EXPECT_EQ(flagged.cache_capacity, 1u);
+  EXPECT_EQ(flagged.shard_threads, 256u);
+
+  // --threads sets the shard thread count and wins over PARAGRAPH_THREADS,
+  // as the daemon applies its flags over serve_config_from_env(); zero and
+  // negative counts clamp to one thread.
+  setenv("PARAGRAPH_THREADS", "5", 1);
+  const auto with_threads = [](std::int64_t threads) {
+    return serve::apply_serve_knobs(
+        serve::serve_config_from_env(),
+        [&](const char*, const char* flag, std::int64_t current) {
+          return flag != nullptr && std::string(flag) == "--threads" ? threads
+                                                                     : current;
+        });
+  };
+  EXPECT_EQ(serve::serve_config_from_env().shard_threads, 5u);
+  EXPECT_EQ(with_threads(2).shard_threads, 2u);
+  EXPECT_EQ(with_threads(0).shard_threads, 1u);
+  EXPECT_EQ(with_threads(-3).shard_threads, 1u);
 }
 
 // --- reply cache ----------------------------------------------------------

@@ -6,8 +6,6 @@
 // Shutdown: SIGINT/SIGTERM (or --duration-s for scripted soak runs) drains
 // the queue gracefully and prints the final service counters. Exit codes:
 // 0 clean shutdown, 1 startup/runtime failure, 2 usage error.
-#include <omp.h>
-
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -20,7 +18,6 @@
 #include "model/checkpoint.hpp"
 #include "model/paragraph_model.hpp"
 #include "serve/server.hpp"
-#include "support/env.hpp"
 #include "tensor/simd.hpp"
 
 namespace {
@@ -45,17 +42,19 @@ int usage() {
   --window-us T         ...or after T microseconds (default 200)
   --idle-timeout-ms T   reactor idle-connection timeout (default 0 = none)
   --duration-s S        exit after S seconds (default 0 = run until signal)
-  --threads N           OpenMP threads per engine shard (PARAGRAPH_THREADS)
+  --threads N           OpenMP threads per engine shard (default 1; the
+                        daemon runs io-threads + workers x N threads)
   --simd LEVEL          kernel dispatch: scalar|sse2|avx2 (PARAGRAPH_SIMD)
   --cache               enable the bytes-keyed reply cache (default off)
   --cache-cap N         cache capacity before LRU eviction (default 1024)
 
   Environment defaults (overridden by the flags above): PARAGRAPH_SERVE_PORT,
-  PARAGRAPH_SERVE_WORKERS, PARAGRAPH_SERVE_IO_THREADS, PARAGRAPH_SERVE_QUEUE,
-  PARAGRAPH_SERVE_BATCH, PARAGRAPH_SERVE_WINDOW_US,
+  PARAGRAPH_SERVE_WORKERS, PARAGRAPH_THREADS, PARAGRAPH_SERVE_IO_THREADS,
+  PARAGRAPH_SERVE_QUEUE, PARAGRAPH_SERVE_BATCH, PARAGRAPH_SERVE_WINDOW_US,
   PARAGRAPH_SERVE_IDLE_TIMEOUT_MS, PARAGRAPH_SERVE_CONN_INFLIGHT,
   PARAGRAPH_SERVE_WRITEQ_CAP, PARAGRAPH_SERVE_CACHE,
-  PARAGRAPH_SERVE_CACHE_CAP. Flags and env values clamp to the same bounds.
+  PARAGRAPH_SERVE_CACHE_CAP. Flags and env values clamp to the same bounds;
+  OMP_NUM_THREADS does not reach the engine shards.
 )");
   return 2;
 }
@@ -87,11 +86,6 @@ int main(int argc, char** argv) {
     const char* ckpt_path = option_value(argc, argv, "--checkpoint");
     if (ckpt_path == nullptr) return usage();
 
-    const std::int64_t threads = int_option(argc, argv, "--threads", 0);
-    if (threads > 0)
-      omp_set_num_threads(static_cast<int>(threads));
-    else if (env_thread_count() > 0)
-      omp_set_num_threads(static_cast<int>(env_thread_count()));
     if (const char* level = option_value(argc, argv, "--simd")) {
       const auto parsed = tensor::simd::level_from_name(level);
       if (!parsed) {
@@ -128,11 +122,12 @@ int main(int argc, char** argv) {
     std::signal(SIGTERM, handle_signal);
 
     std::printf("paragraph-serve: listening on 127.0.0.1:%u (simd %s, "
-                "%zu io threads, %zu workers, queue %zu, batch %zu@%uus, "
-                "cache %s)\n",
+                "%zu io threads, %zu workers x %zu threads, queue %zu, "
+                "batch %zu@%uus, cache %s)\n",
                 server.port(),
                 tensor::simd::level_name(tensor::simd::active_level()),
                 server.io_thread_count(), serve_config.workers,
+                serve_config.shard_threads,
                 serve_config.queue_depth, serve_config.batch_max,
                 serve_config.batch_window_us,
                 serve_config.cache ? "on" : "off");
