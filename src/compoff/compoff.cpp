@@ -145,7 +145,11 @@ void CompoffModel::predict_batch_us(std::span<const dataset::RawDataPoint> point
       out[i] = predict_us(points[i], thread_ws());
     return;
   }
-#pragma omp parallel for schedule(dynamic, 16)
+  // Clamped to the pool sized at construction: a later omp_set_num_threads
+  // increase would otherwise hand out thread ids past ws_pool_.
+  const int team =
+      std::min(omp_get_max_threads(), static_cast<int>(ws_pool_.size()));
+#pragma omp parallel for schedule(dynamic, 16) num_threads(team)
   for (std::size_t i = 0; i < points.size(); ++i)
     out[i] = predict_us(points[i], thread_ws());
 }

@@ -53,7 +53,7 @@ ServeConfig apply_serve_knobs(ServeConfig c, const KnobSource& source) {
   knob(&ServeConfig::queue_depth, "PARAGRAPH_SERVE_QUEUE", "--queue-depth", 1,
        1 << 20);
   knob(&ServeConfig::batch_max, "PARAGRAPH_SERVE_BATCH", "--batch-max", 1,
-       static_cast<std::int64_t>(kMaxChunkSize));
+       4096);
   knob(&ServeConfig::batch_window_us, "PARAGRAPH_SERVE_WINDOW_US",
        "--window-us", 0, 10'000'000);
   knob(&ServeConfig::conn_inflight_cap, "PARAGRAPH_SERVE_CONN_INFLIGHT",

@@ -1,7 +1,6 @@
 // getenv parsing for the PARAGRAPH_* knobs.
 #include "support/env.hpp"
 
-#include <algorithm>
 #include <cstdlib>
 
 namespace pg {
@@ -22,25 +21,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback) {
 std::int64_t env_thread_count() {
   const std::int64_t threads = env_int("PARAGRAPH_THREADS", 0);
   return threads > 0 ? threads : 0;
-}
-
-std::optional<std::size_t> env_chunk_override() {
-  const std::int64_t raw = env_int("PARAGRAPH_CHUNK", 0);
-  if (raw <= 0) return std::nullopt;  // unset, invalid, or nonsense
-  return std::min<std::size_t>(static_cast<std::size_t>(raw), kMaxChunkSize);
-}
-
-std::size_t env_chunk_size(std::size_t fallback) {
-  return env_chunk_override().value_or(fallback);
-}
-
-SchedPolicy sched_policy_from_env() {
-  return env_string("PARAGRAPH_SCHED", "cost") == "fixed" ? SchedPolicy::kFixed
-                                                          : SchedPolicy::kCost;
-}
-
-const char* to_string(SchedPolicy policy) {
-  return policy == SchedPolicy::kFixed ? "fixed" : "cost";
 }
 
 RunScale run_scale_from_env() {

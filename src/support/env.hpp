@@ -1,9 +1,7 @@
 // Environment-variable knobs shared by benches and examples.
 #pragma once
 
-#include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 
 namespace pg {
@@ -21,31 +19,6 @@ std::int64_t env_int(const char* name, std::int64_t fallback);
 /// reads the same variable through serve::apply_serve_knobs instead, as the
 /// per-shard thread count (unset = 1).
 std::int64_t env_thread_count();
-
-/// Upper bound env_chunk_size clamps to (one fused block-diagonal batch of
-/// this many graphs is already far past the fusion sweet spot).
-inline constexpr std::size_t kMaxChunkSize = 4096;
-
-/// Fused-batch chunk override: `PARAGRAPH_CHUNK` as a positive integer,
-/// clamped to [1, kMaxChunkSize]. nullopt when unset, zero, negative, or
-/// unparsable — i.e. "no override, let the engine pick". The single source
-/// of truth for the override/adaptive split (the engine reads it once).
-std::optional<std::size_t> env_chunk_override();
-
-/// env_chunk_override() with a fallback for the no-override case. Lets
-/// bench sweeps vary the InferenceEngine fusion width without recompiling.
-std::size_t env_chunk_size(std::size_t fallback);
-
-/// Engine chunk-scheduling policy. kCost (the default) balances chunks by a
-/// per-graph node/edge cost model; kFixed reproduces the legacy fixed-width
-/// cut (and is implied by a PARAGRAPH_CHUNK override, which pins the width).
-enum class SchedPolicy { kCost, kFixed };
-
-/// `PARAGRAPH_SCHED` = "cost" | "fixed"; unset or unrecognised -> kCost.
-SchedPolicy sched_policy_from_env();
-
-/// Human-readable name of a policy value ("cost"/"fixed").
-const char* to_string(SchedPolicy policy);
 
 /// Dataset scale selector: `PARAGRAPH_SCALE` = "smoke" | "default" | "full".
 /// Controls how many sweep points the dataset generator emits; see

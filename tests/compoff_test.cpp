@@ -1,6 +1,10 @@
 // Tests for the COMPOFF baseline: feature extraction and the MLP cost model.
 #include <gtest/gtest.h>
 
+#include <omp.h>
+
+#include <vector>
+
 #include "compoff/compoff.hpp"
 #include "support/check.hpp"
 #include "support/stats.hpp"
@@ -92,6 +96,25 @@ TEST(CompoffModel, PredictionsClampedAtZero) {
   model.train(points);
   const double pred = model.predict_us(make_point(1.0, 0, 1, 1));
   EXPECT_GE(pred, 0.0);  // physical floor only, no dataset-min prior
+}
+
+TEST(CompoffModel, BatchAfterThreadCountIncreaseMatchesPredictUs) {
+  // The workspace pool is sized at construction; a later, larger
+  // omp_set_num_threads must not hand a point to a thread id past it.
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  CompoffConfig config;
+  config.epochs = 5;
+  CompoffModel model(config, kNumFeatures);
+  const auto points = synthetic_points(64);
+  model.train(points);
+
+  omp_set_num_threads(3);
+  std::vector<double> batched(points.size());
+  model.predict_batch_us(points, batched);
+  omp_set_num_threads(saved_threads);
+  for (std::size_t i = 0; i < points.size(); ++i)
+    EXPECT_EQ(batched[i], model.predict_us(points[i])) << i;
 }
 
 TEST(CompoffEvaluate, SplitsAndReportsMetrics) {

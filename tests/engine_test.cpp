@@ -1,14 +1,14 @@
 // Tests for the batched InferenceEngine and the fused GraphBatch path:
 // exact (bitwise) agreement between the fused block-diagonal forward,
 // predict_one, and the model's own predict; span validation; warm-pool
-// steady state; the microsecond-domain sample path against predict_all;
-// and thread-count-independent training.
+// steady state; batches after a thread-count increase; the
+// microsecond-domain sample path against predict_all; and
+// thread-count-independent training.
 #include <gtest/gtest.h>
 
 #include <omp.h>
 
 #include <array>
-#include <cstdlib>
 #include <vector>
 
 #include "frontend/parser.hpp"
@@ -18,7 +18,6 @@
 #include "model/graph_batch.hpp"
 #include "model/trainer.hpp"
 #include "support/check.hpp"
-#include "support/env.hpp"
 
 namespace pg::model {
 namespace {
@@ -179,6 +178,25 @@ TEST(InferenceEngine, MultiChunkBatchMatchesPredictOneBitwise) {
     EXPECT_EQ(batched[i], sequential.predict_one(graphs[i], aux[i])) << i;
 }
 
+TEST(InferenceEngine, BatchAfterThreadCountIncreaseMatchesOneThread) {
+  // The engine sizes its per-thread pool at construction; a later, larger
+  // omp_set_num_threads must not hand a chunk to a thread id past the pool.
+  // 67 graphs is more than one fuse chunk, so a multi-thread plan fans out.
+  ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 17});
+  auto [graphs, aux] = make_batch(67);
+  const int saved_threads = omp_get_max_threads();
+  omp_set_num_threads(1);
+  InferenceEngine engine(m);
+  std::vector<double> reference(graphs.size());
+  engine.predict_batch(graphs, aux, reference);
+
+  omp_set_num_threads(3);
+  std::vector<double> out(graphs.size());
+  engine.predict_batch(graphs, aux, out);
+  omp_set_num_threads(saved_threads);
+  EXPECT_EQ(out, reference);
+}
+
 TEST(Trainer, TrainingIsIndependentOfThreadCount) {
   // The fixed-chunk fused gradient accumulation must make train_model
   // bitwise-reproducible whatever OpenMP does: same history, same final
@@ -219,35 +237,6 @@ TEST(Trainer, TrainingIsIndependentOfThreadCount) {
         << "epoch " << e;
   }
   EXPECT_EQ(one.val_predictions_us, three.val_predictions_us);
-}
-
-TEST(InferenceEngine, ChunkSizeEnvOverrideClampsAndNeverChangesValues) {
-  ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 5});
-  auto [graphs, aux] = make_batch(9);
-
-  ::unsetenv("PARAGRAPH_CHUNK");
-  InferenceEngine default_engine(m);
-  EXPECT_EQ(default_engine.fuse_chunk(), 64u);
-  std::vector<double> expected(graphs.size());
-  default_engine.predict_batch(graphs, aux, expected);
-
-  // An absurd override clamps to the documented bound instead of blowing up
-  // the per-thread arenas; a tiny one degrades to per-graph chunks. Either
-  // way predictions stay bitwise-identical — chunking never affects values.
-  ::setenv("PARAGRAPH_CHUNK", "999999999", 1);
-  InferenceEngine clamped(m);
-  EXPECT_EQ(clamped.fuse_chunk(), pg::kMaxChunkSize);
-  std::vector<double> out(graphs.size());
-  clamped.predict_batch(graphs, aux, out);
-  EXPECT_EQ(out, expected);
-
-  ::setenv("PARAGRAPH_CHUNK", "1", 1);
-  InferenceEngine tiny(m);
-  EXPECT_EQ(tiny.fuse_chunk(), 1u);
-  tiny.predict_batch(graphs, aux, out);
-  EXPECT_EQ(out, expected);
-
-  ::unsetenv("PARAGRAPH_CHUNK");
 }
 
 TEST(InferenceEngine, PredictSamplesUsMatchesPredictAll) {

@@ -647,7 +647,7 @@ TEST(ServeConfigEnv, KnobsAreReadAndClamped) {
   EXPECT_EQ(flagged.workers, 1u);
   EXPECT_EQ(flagged.io_threads, 64u);
   EXPECT_EQ(flagged.queue_depth, 1u);
-  EXPECT_EQ(flagged.batch_max, kMaxChunkSize);
+  EXPECT_EQ(flagged.batch_max, 4096u);
   EXPECT_EQ(flagged.batch_window_us, 0u);
   EXPECT_EQ(flagged.idle_timeout_ms, 0);
   EXPECT_EQ(flagged.cache_capacity, 1u);

@@ -297,21 +297,5 @@ TEST(Env, ScaleNames) {
   EXPECT_STREQ(to_string(RunScale::kFull), "full");
 }
 
-TEST(Env, ChunkSizeValidatesAndClamps) {
-  ::unsetenv("PARAGRAPH_CHUNK");
-  EXPECT_EQ(env_chunk_size(64), 64u);  // unset -> fallback
-  ::setenv("PARAGRAPH_CHUNK", "17", 1);
-  EXPECT_EQ(env_chunk_size(64), 17u);
-  ::setenv("PARAGRAPH_CHUNK", "0", 1);
-  EXPECT_EQ(env_chunk_size(64), 64u);  // invalid -> fallback
-  ::setenv("PARAGRAPH_CHUNK", "-5", 1);
-  EXPECT_EQ(env_chunk_size(64), 64u);
-  ::setenv("PARAGRAPH_CHUNK", "notanumber", 1);
-  EXPECT_EQ(env_chunk_size(64), 64u);
-  ::setenv("PARAGRAPH_CHUNK", "999999999999", 1);  // absurd -> clamped
-  EXPECT_EQ(env_chunk_size(64), kMaxChunkSize);
-  ::unsetenv("PARAGRAPH_CHUNK");
-}
-
 }  // namespace
 }  // namespace pg
