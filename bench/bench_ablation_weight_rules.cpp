@@ -19,6 +19,7 @@
 #include "bench_common.hpp"
 #include "frontend/parser.hpp"
 #include "graph/builder.hpp"
+#include "support/parallel.hpp"
 
 namespace {
 
@@ -30,8 +31,7 @@ model::SampleSet build_with_rules(const std::vector<dataset::RawDataPoint>& poin
                                   bool force_fallback_trips) {
   // Mirrors dataset::build_sample_set but with custom BuildOptions.
   std::vector<graph::ProgramGraph> graphs(points.size());
-#pragma omp parallel for schedule(dynamic, 8)
-  for (std::size_t i = 0; i < points.size(); ++i) {
+  parallel_for(points.size(), 8, [&](std::size_t i, int) {
     const auto parsed = frontend::parse_source(points[i].source);
     graph::BuildOptions options;
     options.representation = graph::Representation::kParaGraph;
@@ -49,7 +49,7 @@ model::SampleSet build_with_rules(const std::vector<dataset::RawDataPoint>& poin
       options.max_weight = static_cast<double>(options.unknown_trip_fallback);
     }
     graphs[i] = graph::build_graph(parsed.root(), options);
-  }
+  });
 
   // Assemble the sample set (9:1 split, scalers on train only).
   model::SampleSet set;

@@ -145,7 +145,7 @@ int main(int argc, char** argv) {
     report_kernel(report, "matmul_99x32x24", 20000, 2.0 * 99 * 32 * 24,
                   [&](const KernelTable& k) {
                     k.matmul(a.data().data(), b.data().data(),
-                             c.data().data(), 99, 32, 24, false);
+                             c.data().data(), 99, 32, 24);
                   });
   }
   {
@@ -155,7 +155,7 @@ int main(int argc, char** argv) {
     report_kernel(report, "matmul_192cubed", 300, 2.0 * 192 * 192 * 192,
                   [&](const KernelTable& k) {
                     k.matmul(a.data().data(), b.data().data(),
-                             c.data().data(), 192, 192, 192, false);
+                             c.data().data(), 192, 192, 192);
                   });
   }
   {

@@ -1,9 +1,15 @@
-// Thread-scaling bench for the fused InferenceEngine: sweeps OpenMP thread
-// counts (1..omp_get_max_threads()) x graph-size skew (uniform | zipf |
-// one_giant) over synthetic encoded graphs, and writes BENCH_scaling.json
-// (flags: --json PATH, --threads N to cap the sweep, --emit-fixture for the
-// quick CI smoke that still gates on parity). PARAGRAPH_SCALE=smoke shrinks
+// Thread-scaling bench for the fused InferenceEngine: sweeps thread counts
+// (1..pg::thread_count()) x graph-size skew (uniform | zipf | one_giant)
+// over synthetic encoded graphs, and writes BENCH_scaling.json (flags:
+// --json PATH, --threads N to cap the sweep, --emit-fixture for the quick
+// CI smoke that still gates on parity). PARAGRAPH_SCALE=smoke shrinks
 // batches and iteration counts.
+//
+// Each (mix, threads) throughput is the median over `reps` timed rounds of
+// `iters` predict_batch calls, with the min and max written beside it. The
+// rounds visit the thread counts in turn (t = 1..N, then again), so a
+// drift in host speed over the run lands on every thread count alike
+// instead of on whichever configuration ran during it.
 //
 // Every configuration's predictions are compared bitwise against the
 // 1-thread reference for its mix — the bench doubles as an end-to-end
@@ -16,14 +22,14 @@
 //   * one_giant_speedup — 1-thread time / best time for a batch dominated
 //     by a single ~10k-node graph, i.e. what intra-batch parallelism buys
 //     where chunk fan-out alone cannot help.
-#include <omp.h>
-
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -32,6 +38,7 @@
 #include "model/paragraph_model.hpp"
 #include "model/schedule.hpp"
 #include "nn/relational_graph.hpp"
+#include "support/parallel.hpp"
 
 namespace {
 
@@ -142,7 +149,7 @@ int main(int argc, char** argv) {
                      has_flag(argc, argv, "--emit-fixture");
   const std::string json_path = pg::bench::json_path_from_args(argc, argv);
 
-  int max_threads = omp_get_max_threads();
+  int max_threads = pg::thread_count();
   if (const char* cap = option_value(argc, argv, "--threads"))
     max_threads = std::max(1, std::min(max_threads, std::atoi(cap)));
 
@@ -153,7 +160,7 @@ int main(int argc, char** argv) {
   const std::size_t uniform_nodes = 99;
   const std::size_t giant_nodes = smoke ? 4096 : 10000;
   const std::size_t small_nodes = 50;
-  const int reps = smoke ? 1 : 3;
+  const int reps = smoke ? 1 : 15;
   const int iters = smoke ? 1 : 5;
 
   std::vector<Mix> mixes;
@@ -176,7 +183,10 @@ int main(int argc, char** argv) {
   pg::bench::JsonReport report("bench_thread_scaling");
   report.add("scale", smoke ? "smoke" : "default");
   report.add("machine_threads", static_cast<std::size_t>(max_threads));
-  report.add("nproc", static_cast<std::size_t>(omp_get_num_procs()));
+  report.add("nproc",
+             static_cast<std::size_t>(std::thread::hardware_concurrency()));
+  report.add("reps", reps);
+  report.add("iters", iters);
   report.add("batch", batch);
   report.add("giant_nodes", giant_nodes);
 
@@ -196,22 +206,12 @@ int main(int argc, char** argv) {
   for (std::size_t m = 0; m < mixes.size(); ++m) {
     const Mix& mix = mixes[m];
     std::vector<double> out(mix.graphs.size());
+    // One engine per thread count, warmed (and parity-checked) up front.
+    std::deque<InferenceEngine> engines;
     for (int t = 1; t <= max_threads; ++t) {
-      omp_set_num_threads(t);
-      InferenceEngine engine(model);
-      std::vector<double> times;
-      engine.predict_batch(mix.graphs, mix.aux, out);  // warm the arenas
-      for (int r = 0; r < reps; ++r) {
-        const double t0 = now_s();
-        for (int it = 0; it < iters; ++it)
-          engine.predict_batch(mix.graphs, mix.aux, out);
-        times.push_back((now_s() - t0) / iters);
-      }
-      std::sort(times.begin(), times.end());
-      const double median = times[times.size() / 2];
-      const auto ti = static_cast<std::size_t>(t);
-      tput[m][ti] = static_cast<double>(mix.graphs.size()) / median;
-
+      pg::set_thread_count(t);
+      engines.emplace_back(model);
+      engines.back().predict_batch(mix.graphs, mix.aux, out);
       if (t == 1) {
         reference[m] = out;
       } else if (out != reference[m]) {
@@ -219,15 +219,41 @@ int main(int argc, char** argv) {
         std::fprintf(stderr, "PARITY MISMATCH: mix=%s threads=%d\n",
                      mix.name.c_str(), t);
       }
-      if (m == 2 && t == max_threads) giant_stats = engine.schedule_stats();
+    }
 
-      report.add(mix.name + "_t" + std::to_string(t) + "_graphs_per_s",
-                 tput[m][ti]);
-      std::printf("%-10s t=%d: %10.1f graphs/s\n", mix.name.c_str(), t,
-                  tput[m][ti]);
+    // times[t - 1] holds one seconds-per-call sample per round.
+    std::vector<std::vector<double>> times(
+        static_cast<std::size_t>(max_threads));
+    for (int r = 0; r < reps; ++r) {
+      for (int t = 1; t <= max_threads; ++t) {
+        pg::set_thread_count(t);
+        InferenceEngine& engine = engines[static_cast<std::size_t>(t - 1)];
+        const double t0 = now_s();
+        for (int it = 0; it < iters; ++it)
+          engine.predict_batch(mix.graphs, mix.aux, out);
+        times[static_cast<std::size_t>(t - 1)].push_back((now_s() - t0) /
+                                                         iters);
+      }
+    }
+    if (m == 2) giant_stats = engines.back().schedule_stats();
+
+    const auto graphs = static_cast<double>(mix.graphs.size());
+    for (int t = 1; t <= max_threads; ++t) {
+      std::vector<double>& samples = times[static_cast<std::size_t>(t - 1)];
+      std::sort(samples.begin(), samples.end());
+      const auto ti = static_cast<std::size_t>(t);
+      tput[m][ti] = graphs / samples[samples.size() / 2];
+      const double lo = graphs / samples.back();
+      const double hi = graphs / samples.front();
+      const std::string key = mix.name + "_t" + std::to_string(t);
+      report.add(key + "_graphs_per_s", tput[m][ti]);
+      report.add(key + "_graphs_per_s_min", lo);
+      report.add(key + "_graphs_per_s_max", hi);
+      std::printf("%-10s t=%d: %10.1f graphs/s  [%.1f, %.1f]\n",
+                  mix.name.c_str(), t, tput[m][ti], lo, hi);
     }
   }
-  omp_set_num_threads(max_threads);
+  pg::set_thread_count(max_threads);
 
   const auto tmax = static_cast<std::size_t>(max_threads);
   const double uniform_eff =

@@ -3,11 +3,13 @@
 #include "ann/ann_index.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <queue>
 #include <utility>
 
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 
 namespace pg::ann {
@@ -82,34 +84,35 @@ AnnIndex AnnIndex::build(const tensor::Matrix& embeddings,
   // result is independent of how the loop is scheduled.
   std::vector<std::uint32_t> cur(n * k);
   std::vector<float> cur_dist(n * k);
-#pragma omp parallel
-  {
+  // Per-worker scratch, reused across nodes and iterations.
+  struct Scratch {
+    std::vector<std::uint32_t> pool;
     std::vector<Scored> scored;
-#pragma omp for schedule(dynamic, 256)
-    for (std::int64_t ui = 0; ui < static_cast<std::int64_t>(n); ++ui) {
-      const auto u = static_cast<std::size_t>(ui);
-      Rng rng(node_seed(config.seed, u));
-      scored.clear();
-      while (scored.size() < k) {
-        const auto c = static_cast<std::uint32_t>(rng.index(n));
-        if (c == u) continue;
-        bool dup = false;
-        for (const Scored& s : scored) dup = dup || s.second == c;
-        if (dup) continue;
-        scored.emplace_back(dist(u, c), c);
-      }
-      std::sort(scored.begin(), scored.end());
-      for (std::size_t j = 0; j < k; ++j) {
-        cur[u * k + j] = scored[j].second;
-        cur_dist[u * k + j] = scored[j].first;
-      }
+  };
+  std::vector<Scratch> scratch(static_cast<std::size_t>(thread_count()));
+  parallel_for(n, 256, [&](std::size_t u, int worker) {
+    auto& scored = scratch[static_cast<std::size_t>(worker)].scored;
+    Rng rng(node_seed(config.seed, u));
+    scored.clear();
+    while (scored.size() < k) {
+      const auto c = static_cast<std::uint32_t>(rng.index(n));
+      if (c == u) continue;
+      bool dup = false;
+      for (const Scored& s : scored) dup = dup || s.second == c;
+      if (dup) continue;
+      scored.emplace_back(dist(u, c), c);
     }
-  }
+    std::sort(scored.begin(), scored.end());
+    for (std::size_t j = 0; j < k; ++j) {
+      cur[u * k + j] = scored[j].second;
+      cur_dist[u * k + j] = scored[j].first;
+    }
+  });
 
   // Synchronous nn-descent: next[u] is the best-k of the local join over
   // the *previous* generation (neighbors, reverse neighbors, and their
   // adjacency), double-buffered — a pure function of the previous state,
-  // so any OpenMP schedule produces identical bytes.
+  // so any schedule produces identical bytes.
   std::vector<std::uint32_t> next(n * k);
   std::vector<float> next_dist(n * k);
   std::vector<std::uint32_t> rev(n * kReverseCap);
@@ -126,45 +129,41 @@ AnnIndex AnnIndex::build(const tensor::Matrix& embeddings,
       }
     }
 
-    int changed = 0;
-#pragma omp parallel reduction(| : changed)
-    {
-      std::vector<std::uint32_t> pool;
-      std::vector<Scored> scored;
-#pragma omp for schedule(dynamic, 64)
-      for (std::int64_t ui = 0; ui < static_cast<std::int64_t>(n); ++ui) {
-        const auto u = static_cast<std::size_t>(ui);
-        pool.clear();
-        auto push_with_adjacency = [&](std::uint32_t v) {
-          pool.push_back(v);
-          for (std::size_t j = 0; j < k; ++j) pool.push_back(cur[v * k + j]);
-          for (std::size_t j = 0; j < rev_len[v]; ++j)
-            pool.push_back(rev[v * kReverseCap + j]);
-        };
-        for (std::size_t j = 0; j < k; ++j)
-          push_with_adjacency(cur[u * k + j]);
-        for (std::size_t j = 0; j < rev_len[u]; ++j)
-          push_with_adjacency(rev[u * kReverseCap + j]);
-        std::sort(pool.begin(), pool.end());
-        pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+    std::atomic<bool> changed{false};
+    parallel_for(n, 64, [&](std::size_t u, int worker) {
+      Scratch& mine = scratch[static_cast<std::size_t>(worker)];
+      auto& pool = mine.pool;
+      auto& scored = mine.scored;
+      pool.clear();
+      auto push_with_adjacency = [&](std::uint32_t v) {
+        pool.push_back(v);
+        for (std::size_t j = 0; j < k; ++j) pool.push_back(cur[v * k + j]);
+        for (std::size_t j = 0; j < rev_len[v]; ++j)
+          pool.push_back(rev[v * kReverseCap + j]);
+      };
+      for (std::size_t j = 0; j < k; ++j)
+        push_with_adjacency(cur[u * k + j]);
+      for (std::size_t j = 0; j < rev_len[u]; ++j)
+        push_with_adjacency(rev[u * kReverseCap + j]);
+      std::sort(pool.begin(), pool.end());
+      pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
 
-        scored.clear();
-        for (const std::uint32_t c : pool)
-          if (c != u) scored.emplace_back(dist(u, c), c);
-        std::sort(scored.begin(), scored.end());
+      scored.clear();
+      for (const std::uint32_t c : pool)
+        if (c != u) scored.emplace_back(dist(u, c), c);
+      std::sort(scored.begin(), scored.end());
 
-        bool u_changed = false;
-        for (std::size_t j = 0; j < k; ++j) {
-          next[u * k + j] = scored[j].second;
-          next_dist[u * k + j] = scored[j].first;
-          u_changed = u_changed || next[u * k + j] != cur[u * k + j];
-        }
-        changed |= u_changed ? 1 : 0;
+      bool u_changed = false;
+      for (std::size_t j = 0; j < k; ++j) {
+        next[u * k + j] = scored[j].second;
+        next_dist[u * k + j] = scored[j].first;
+        u_changed = u_changed || next[u * k + j] != cur[u * k + j];
       }
-    }
+      if (u_changed) changed.store(true, std::memory_order_relaxed);
+    });
     cur.swap(next);
     cur_dist.swap(next_dist);
-    if (changed == 0) break;
+    if (!changed.load(std::memory_order_relaxed)) break;
   }
 
   index.neighbors_ = std::move(cur);

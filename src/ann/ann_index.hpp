@@ -11,7 +11,7 @@
 // reverse neighbors, and their neighbors — the classic local join),
 // double-buffered, with seeded per-node initialisation and (distance,
 // index) tie-breaking everywhere. Each node's next list is a pure function
-// of the previous state, so the OpenMP fan-out over nodes is free to
+// of the previous state, so the parallel fan-out over nodes is free to
 // schedule however it likes — the built index is byte-identical for any
 // thread count (ann_test pins this), in the same spirit as the engine's
 // bitwise fused-batch contract.
@@ -71,7 +71,7 @@ class AnnIndex {
   /// nn-descent. `checkpoint_fingerprint` stamps which model produced the
   /// embeddings (model::checkpoint_fingerprint); load() verifies it.
   /// Deterministic: (embeddings, config) alone fix every byte of the
-  /// result, whatever omp_get_max_threads() says.
+  /// result, whatever the thread count.
   static AnnIndex build(const tensor::Matrix& embeddings,
                         const AnnConfig& config,
                         std::uint64_t checkpoint_fingerprint);

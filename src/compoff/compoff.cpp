@@ -2,8 +2,6 @@
 // per-device regression fitted on them (the paper's non-GNN baseline).
 #include "compoff/compoff.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
 #include <numeric>
@@ -11,8 +9,10 @@
 #include "nn/adam.hpp"
 #include "nn/loss.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
+#include "tensor/workspace.hpp"
 
 namespace pg::compoff {
 
@@ -39,8 +39,7 @@ CompoffModel::CompoffModel(const CompoffConfig& config, std::size_t num_features
         sizes.push_back(1);
         pg::Rng rng(config.seed);
         return nn::Mlp(sizes, rng);
-      }()),
-      ws_pool_(static_cast<std::size_t>(omp_get_max_threads())) {
+      }()) {
   feature_scalers_.resize(num_features);
 }
 
@@ -112,13 +111,8 @@ std::vector<double> CompoffModel::train(
 }
 
 double CompoffModel::predict_us(const dataset::RawDataPoint& point) const {
-  thread_local tensor::Workspace ws;
-  return predict_us(point, ws);
-}
-
-double CompoffModel::predict_us(const dataset::RawDataPoint& point,
-                                tensor::Workspace& ws) const {
   check(trained_, "CompoffModel::predict_us before train");
+  thread_local tensor::Workspace ws;
   ws.reset();
   const auto f = extract_features(point);
   tensor::Matrix& x = ws.acquire(1, kNumFeatures);
@@ -132,26 +126,12 @@ double CompoffModel::predict_us(const dataset::RawDataPoint& point,
 }
 
 void CompoffModel::predict_batch_us(std::span<const dataset::RawDataPoint> points,
-                                    std::span<double> out) {
+                                    std::span<double> out) const {
   check(points.size() == out.size(),
         "CompoffModel::predict_batch_us: span length mismatch");
-  auto thread_ws = [this]() -> tensor::Workspace& {
-    const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-    check(tid < ws_pool_.size(), "CompoffModel: thread id exceeds pool");
-    return ws_pool_[tid];
-  };
-  if (omp_in_parallel()) {
-    for (std::size_t i = 0; i < points.size(); ++i)
-      out[i] = predict_us(points[i], thread_ws());
-    return;
-  }
-  // Clamped to the pool sized at construction: a later omp_set_num_threads
-  // increase would otherwise hand out thread ids past ws_pool_.
-  const int team =
-      std::min(omp_get_max_threads(), static_cast<int>(ws_pool_.size()));
-#pragma omp parallel for schedule(dynamic, 16) num_threads(team)
-  for (std::size_t i = 0; i < points.size(); ++i)
-    out[i] = predict_us(points[i], thread_ws());
+  parallel_for(points.size(), 16, [&](std::size_t i, int) {
+    out[i] = predict_us(points[i]);
+  });
 }
 
 CompoffEvaluation train_and_evaluate(

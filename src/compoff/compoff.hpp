@@ -28,7 +28,6 @@
 #include "dataset/generator.hpp"
 #include "nn/mlp.hpp"
 #include "nn/scaler.hpp"
-#include "tensor/workspace.hpp"
 
 namespace pg::compoff {
 
@@ -56,23 +55,20 @@ class CompoffModel {
   /// Trains on the points' features/runtimes; returns per-epoch train MSE.
   std::vector<double> train(const std::vector<dataset::RawDataPoint>& train_points);
 
-  /// Predicted runtime in microseconds (clamped to the observed minimum).
+  /// Predicted runtime in microseconds (clamped to the observed minimum),
+  /// through the calling thread's workspace.
   [[nodiscard]] double predict_us(const dataset::RawDataPoint& point) const;
 
-  /// Batched predictions through the per-thread workspace pool
-  /// (OpenMP-parallel; out.size() must equal points.size()).
+  /// Batched predict_us calls, in parallel (out.size() must equal
+  /// points.size()).
   void predict_batch_us(std::span<const dataset::RawDataPoint> points,
-                        std::span<double> out);
+                        std::span<double> out) const;
 
  private:
-  double predict_us(const dataset::RawDataPoint& point,
-                    tensor::Workspace& ws) const;
-
   CompoffConfig config_;
   nn::Mlp mlp_;
   std::vector<nn::MinMaxScaler> feature_scalers_;
   nn::MinMaxScaler target_scaler_;
-  std::vector<tensor::Workspace> ws_pool_;  // one per OpenMP thread
   bool trained_ = false;
 };
 

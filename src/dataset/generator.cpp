@@ -1,12 +1,11 @@
 // The (kernel x variant x size x launch-config) sweep. Each point is
 // instantiated to real source, parsed, and priced by the simulator;
-// OpenMP-parallel over sweep points.
+// parallel over sweep points (support/parallel.hpp).
 #include "dataset/generator.hpp"
-
-#include <omp.h>
 
 #include "frontend/parser.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -96,9 +95,7 @@ std::vector<RawDataPoint> generate_dataset(const sim::Platform& platform,
   for (std::size_t i = 0; i < sweep.size(); ++i) streams.push_back(master.split());
 
   std::vector<RawDataPoint> points(sweep.size());
-  bool parse_failure = false;
-#pragma omp parallel for schedule(dynamic, 4)
-  for (std::size_t i = 0; i < sweep.size(); ++i) {
+  parallel_for(sweep.size(), 4, [&](std::size_t i, int) {
     const SweepPoint& sp = sweep[i];
     RawDataPoint point;
     point.app = sp.spec->app;
@@ -112,17 +109,12 @@ std::vector<RawDataPoint> generate_dataset(const sim::Platform& platform,
         instantiate_source(*sp.spec, sp.variant, sp.sizes, sp.teams, sp.threads);
 
     const frontend::ParseResult parsed = frontend::parse_source(point.source);
-    if (!parsed.ok()) {
-#pragma omp critical
-      parse_failure = true;
-      continue;
-    }
+    check(parsed.ok(), "generated kernel source failed to parse");
     point.profile = sim::profile_kernel(parsed.root());
     point.runtime_us =
         sim::measure_runtime_us(point.profile, platform, streams[i], config.sim);
     points[i] = std::move(point);
-  }
-  check(!parse_failure, "generated kernel source failed to parse");
+  });
   return points;
 }
 

@@ -4,18 +4,17 @@
 #include "io/dataset_view.hpp"
 
 #include <fcntl.h>
-#include <omp.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
-#include <exception>
 #include <fstream>
 #include <string_view>
 #include <utility>
 
 #include "io/format_detail.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::io {
 
@@ -288,35 +287,16 @@ void DatasetView::decode(std::size_t i, model::TrainingSample& sample) const {
   }
 }
 
-StoredSampleSet load_sample_set(const DatasetView& view, int threads) {
+StoredSampleSet load_sample_set(const DatasetView& view) {
   StoredSampleSet out;
   out.meta = view.meta();
   out.meta.apply_scalers(out.set);
   const std::size_t n = view.size();
   std::vector<model::TrainingSample> all(n);
 
-  // Disjoint shards decode concurrently; exceptions must not escape the
-  // parallel region, so the lowest-index failure is captured and rethrown —
-  // the same error single-threaded decoding would have hit first.
-  std::exception_ptr first_error;
-  std::size_t first_error_index = n;
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(static) num_threads(team)
-  for (std::int64_t idx = 0; idx < static_cast<std::int64_t>(n); ++idx) {
-    const auto i = static_cast<std::size_t>(idx);
-    try {
-      view.decode(i, all[i]);
-    } catch (...) {
-#pragma omp critical(pg_dataset_view_load_error)
-      {
-        if (first_error == nullptr || i < first_error_index) {
-          first_error = std::current_exception();
-          first_error_index = i;
-        }
-      }
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
+  // Records decode concurrently; a corrupt one fails with the lowest-index
+  // error, the one single-threaded decoding would have hit first.
+  parallel_for(n, 16, [&](std::size_t i, int) { view.decode(i, all[i]); });
 
   // Assembly stays in record order whatever the thread count, so the result
   // is bit-for-bit the sequential read.

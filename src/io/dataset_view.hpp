@@ -96,10 +96,9 @@ class DatasetView {
 /// Decodes every record of `view` into a SampleSet (scalers installed,
 /// train/validation partitioned by split tag in record order — the same
 /// result as read_sample_set over the equivalent stream, bit for bit).
-/// `threads` > 0 pins the worker count; 0 uses the OpenMP default. Workers
-/// decode disjoint index shards; assembly order is fixed, so the result is
+/// Records decode in parallel; assembly order is fixed, so the result is
 /// thread-count-independent.
-StoredSampleSet load_sample_set(const DatasetView& view, int threads = 0);
+StoredSampleSet load_sample_set(const DatasetView& view);
 
 /// model::SampleStore over a DatasetView: load(i) decodes record i on
 /// demand (out-of-core training never materialises the corpus).

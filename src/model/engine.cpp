@@ -1,25 +1,24 @@
-// InferenceEngine: per-thread GraphBatch/workspace state + chunk-fused
+// InferenceEngine: per-worker GraphBatch/workspace state + chunk-fused
 // batch prediction. Chunk boundaries come from the deterministic cost model
-// in model/schedule.hpp. Cheap chunks fan out across OpenMP threads with
-// dynamic stealing; an oversized chunk — a single graph past the intra
+// in model/schedule.hpp. Cheap chunks fan out across the parallel_for team
+// with dynamic stealing; an oversized chunk — a single graph past the intra
 // threshold — runs in a serial phase where the fused forward's intra-batch
 // split points use the whole machine. Results never depend on the cut,
 // because the fused forward is bitwise-equal per graph.
 #include "model/engine.hpp"
-
-#include <omp.h>
 
 #include <algorithm>
 #include <cstring>
 
 #include "model/schedule.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::model {
 namespace {
 
 /// Most graphs fused per chunk: deep enough for tiny graphs to amortise
-/// per-call dispatch and packing, shallow enough to keep the per-thread
+/// per-call dispatch and packing, shallow enough to keep the per-worker
 /// workspace arena modest. The cost budget below usually binds first.
 constexpr std::size_t kFuseChunk = 64;
 
@@ -49,26 +48,19 @@ constexpr std::uint64_t kIntraCostThreshold = 4 * kChunkCostBudget;
 }  // namespace
 
 InferenceEngine::InferenceEngine(const ParaGraphModel& model)
-    : model_(&model),
-      pool_(static_cast<std::size_t>(omp_get_max_threads())) {}
-
-InferenceEngine::ThreadState& InferenceEngine::state_for_current_thread() {
-  const auto tid = static_cast<std::size_t>(omp_get_thread_num());
-  check(tid < pool_.size(), "InferenceEngine: thread id exceeds pool");
-  return pool_[tid];
-}
+    : model_(&model), pool_(1) {}
 
 double InferenceEngine::predict_one(const EncodedGraph& graph,
                                     std::span<const float> aux) {
-  return model_->predict(graph, aux, state_for_current_thread().ws);
+  return model_->predict(graph, aux, pool_[0].ws);
 }
 
 void InferenceEngine::run_chunk(std::span<const EncodedGraph* const> graphs,
                                 std::span<const std::array<float, 2>> aux,
                                 std::span<double> out,
                                 tensor::Matrix* embed_out, std::size_t lo,
-                                std::size_t hi) {
-  ThreadState& ts = state_for_current_thread();
+                                std::size_t hi, std::size_t worker) {
+  WorkerState& ts = pool_[worker];
   ts.batch.pack(graphs.subspan(lo, hi - lo));
   if (embed_out != nullptr) {
     // Embed-only pass: stop at the pooled rows and scatter them into the
@@ -94,7 +86,7 @@ void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
                                   std::span<double> out,
                                   tensor::Matrix* embed_out) {
   const std::size_t n = graphs.size();
-  ThreadState& caller = state_for_current_thread();
+  WorkerState& caller = pool_[0];
 
   // Per-graph cost model (known at pack time). Cheap relative to a
   // forward: one pass over the relation headers per graph.
@@ -109,14 +101,10 @@ void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
     total_rows += g->features.rows();
   }
 
-  // The team never outgrows the pool sized at construction: a later
-  // omp_set_num_threads increase would otherwise hand out thread ids past
-  // pool_. The plan uses the same count the team runs with.
-  const bool nested = omp_in_parallel();
-  const int team = nested ? 1
-                          : std::min(omp_get_max_threads(),
-                                     static_cast<int>(pool_.size()));
-  const auto threads = static_cast<std::uint64_t>(team);
+  // The pool grows to the team before the fan-out, and the plan uses the
+  // same count the team runs with.
+  const auto threads = static_cast<std::uint64_t>(thread_count());
+  if (pool_.size() < threads) pool_.resize(threads);
 
   // Cost-balanced cut: aim for kChunkOversubscribe chunks per thread so
   // dynamic stealing can absorb the tail, bounded below by the packing-
@@ -138,14 +126,6 @@ void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
   stat_last_imbalance_.store(schedule::plan_imbalance(costs, bounds),
                              std::memory_order_relaxed);
 
-  if (nested) {
-    // Caller already manages threading: stay serial on this thread, with
-    // its own state (the intra-batch split points self-gate too).
-    for (std::size_t c = 0; c < num_chunks; ++c)
-      run_chunk(graphs, aux, out, embed_out, bounds[c], bounds[c + 1]);
-    return;
-  }
-
   // Two-phase execution. Phase 1: cheap chunks fan out across threads,
   // dynamic stealing balances the (cost-equalised) tail. Phase 2: chunks
   // past the intra threshold — single giant graphs — run serially, where
@@ -162,18 +142,13 @@ void InferenceEngine::run_chunked(std::span<const EncodedGraph* const> graphs,
     (intra ? big : small).push_back(static_cast<std::uint32_t>(c));
   }
 
-  if (small.size() > 1) {
-#pragma omp parallel for schedule(dynamic, 1) num_threads(team)
-    for (std::size_t i = 0; i < small.size(); ++i) {
-      const std::uint32_t c = small[i];
-      run_chunk(graphs, aux, out, embed_out, bounds[c], bounds[c + 1]);
-    }
-  } else if (small.size() == 1) {
-    run_chunk(graphs, aux, out, embed_out, bounds[small[0]],
-              bounds[small[0] + 1]);
-  }
+  parallel_for(small.size(), 1, [&](std::size_t i, int worker) {
+    const std::uint32_t c = small[i];
+    run_chunk(graphs, aux, out, embed_out, bounds[c], bounds[c + 1],
+              static_cast<std::size_t>(worker));
+  });
   for (const std::uint32_t c : big)
-    run_chunk(graphs, aux, out, embed_out, bounds[c], bounds[c + 1]);
+    run_chunk(graphs, aux, out, embed_out, bounds[c], bounds[c + 1], 0);
   stat_intra_chunks_.fetch_add(big.size(), std::memory_order_relaxed);
 }
 
@@ -185,7 +160,7 @@ void InferenceEngine::predict_batch(std::span<const EncodedGraph> graphs,
   check(model_->config().aux_dim == 2,
         "InferenceEngine::predict_batch: engine batches 2-feature aux");
   if (graphs.empty()) return;
-  ThreadState& caller = state_for_current_thread();
+  WorkerState& caller = pool_[0];
   caller.ptrs.clear();
   caller.ptrs.reserve(graphs.size());
   for (const EncodedGraph& g : graphs) caller.ptrs.push_back(&g);
@@ -196,7 +171,7 @@ void InferenceEngine::embed_batch(std::span<const EncodedGraph> graphs,
                                   tensor::Matrix& out) {
   out.reshape(graphs.size(), model_->config().hidden_dim);
   if (graphs.empty()) return;
-  ThreadState& caller = state_for_current_thread();
+  WorkerState& caller = pool_[0];
   caller.ptrs.clear();
   caller.ptrs.reserve(graphs.size());
   for (const EncodedGraph& g : graphs) caller.ptrs.push_back(&g);
@@ -208,9 +183,7 @@ std::vector<double> InferenceEngine::predict_samples_us(
   std::vector<double> predictions(samples.size());
   const std::size_t n = samples.size();
   if (n == 0) return predictions;
-  // ptrs/aux_gather are the *calling* thread's grow-only gather buffers, so
-  // concurrent callers inside an enclosing parallel region don't collide.
-  ThreadState& caller = state_for_current_thread();
+  WorkerState& caller = pool_[0];
   caller.ptrs.clear();
   caller.ptrs.reserve(n);
   caller.aux_gather.clear();

@@ -1,8 +1,9 @@
-// Batched inference engine over a trained ParaGraphModel: per-thread
-// fused-batch state (grow-only Workspace + GraphBatch packer) plus OpenMP
-// fan-out over batch chunks, so steady-state prediction — the advisor's
-// "rank every candidate variant" loop and the trainer's validation pass —
-// performs zero heap allocations per graph AND amortises per-graph dispatch:
+// Batched inference engine over a trained ParaGraphModel: per-worker
+// fused-batch state (grow-only Workspace + GraphBatch packer) plus a
+// parallel_for fan-out over batch chunks (support/parallel.hpp), so
+// steady-state prediction — the advisor's "rank every candidate variant"
+// loop and the trainer's validation pass — performs zero heap allocations
+// per graph AND amortises per-graph dispatch:
 // each chunk of graphs is packed into one block-diagonal GraphBatch and run
 // through a single fused model forward instead of one forward per graph.
 //
@@ -16,13 +17,16 @@
 // graph however the batch is chunked or threaded.
 //
 // The engine does not own the model; keep the model alive for the engine's
-// lifetime. Model parameters may change between calls (the trainer reuses
-// one engine across epochs) — predictions always read the current weights.
+// lifetime. An engine is not thread-safe: concurrent callers each need
+// their own (the serve daemon keeps one per worker). Model parameters may
+// change between calls (the trainer reuses one engine across epochs) —
+// predictions always read the current weights.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <span>
 #include <vector>
 
@@ -50,13 +54,13 @@ class InferenceEngine {
  public:
   explicit InferenceEngine(const ParaGraphModel& model);
 
-  /// One scaled-domain prediction through the calling thread's workspace.
+  /// One scaled-domain prediction through worker 0's workspace.
   [[nodiscard]] double predict_one(const EncodedGraph& graph,
                                    std::span<const float> aux);
 
   /// Batched scaled-domain predictions: graphs are packed into
   /// block-diagonal GraphBatch chunks and each chunk runs one fused model
-  /// forward (OpenMP-parallel across chunks). graphs/aux/out must have
+  /// forward (parallel across chunks). graphs/aux/out must have
   /// equal lengths. Bitwise-identical to calling predict_one per element:
   /// the fused forward performs the same per-graph FP operations in the
   /// same order (engine_test pins this), and workspace history never leaks
@@ -86,17 +90,16 @@ class InferenceEngine {
   /// Cumulative scheduler counters (relaxed-atomic snapshot).
   [[nodiscard]] ScheduleStats schedule_stats() const;
 
-  // Aggregate arena statistics over the thread pool — flat counts between
+  // Aggregate arena statistics over the worker pool — flat counts between
   // two calls mean the steady state (zero allocation) has been reached.
   [[nodiscard]] std::size_t workspace_slots() const;
   [[nodiscard]] std::size_t workspace_bytes() const;
 
  private:
-  /// Per-thread fused-batch state; everything grow-only. Top-level entry
-  /// points use the *calling* thread's ptrs/aux_gather/plan buffers, so
-  /// concurrent callers from an enclosing parallel region never share
-  /// state.
-  struct ThreadState {
+  /// Per-worker fused-batch state; everything grow-only. Worker 0 is the
+  /// calling thread: the entry points keep their ptrs/aux_gather/plan
+  /// buffers there.
+  struct WorkerState {
     tensor::Workspace ws;
     GraphBatch batch;
     tensor::Matrix aux;                          // [chunk x aux_dim]
@@ -109,16 +112,16 @@ class InferenceEngine {
     std::vector<std::uint32_t> big_chunks;    // phase-2 (intra-parallel)
   };
 
-  ThreadState& state_for_current_thread();
-  /// Packs graphs [lo, hi) and runs one fused pass into out[lo, hi). When
-  /// `embed_out` is non-null the pass stops at the pooled embedding and
-  /// writes rows [lo, hi) of `embed_out` instead (aux/out may be empty).
+  /// Packs graphs [lo, hi) with `worker`'s state and runs one fused pass
+  /// into out[lo, hi). When `embed_out` is non-null the pass stops at the
+  /// pooled embedding and writes rows [lo, hi) of `embed_out` instead
+  /// (aux/out may be empty).
   void run_chunk(std::span<const EncodedGraph* const> graphs,
                  std::span<const std::array<float, 2>> aux,
                  std::span<double> out, tensor::Matrix* embed_out,
-                 std::size_t lo, std::size_t hi);
+                 std::size_t lo, std::size_t hi, std::size_t worker);
   /// The shared chunk fan-out: plans cost-balanced chunk boundaries, runs
-  /// cheap chunks OpenMP-parallel with dynamic stealing, then runs
+  /// cheap chunks in parallel with dynamic stealing, then runs
   /// oversized chunks serially so the fused forward's intra-batch split
   /// points can use the whole machine. All public batch entry points
   /// (predict and embed) route through here so the threading policy cannot
@@ -128,9 +131,9 @@ class InferenceEngine {
                    std::span<double> out, tensor::Matrix* embed_out);
 
   const ParaGraphModel* model_;
-  // One per OpenMP thread, sized by omp_get_max_threads() at construction;
-  // batch teams are clamped to it.
-  std::vector<ThreadState> pool_;
+  // One per parallel_for worker, grown to the team before each fan-out; a
+  // deque, so growth never moves the caller's state.
+  std::deque<WorkerState> pool_;
 
   // Scheduler counters (ScheduleStats): relaxed — monitoring only.
   std::atomic<std::uint64_t> stat_batches_{0};

@@ -8,7 +8,7 @@
 // Workspace, so a warmed-up predict/accumulate_gradients performs zero heap
 // allocations. The Workspace-free overloads are conveniences over a
 // thread-local workspace; hot loops (trainer, InferenceEngine) pass their
-// own per-thread workspaces explicitly.
+// own per-chunk or per-worker workspaces explicitly.
 //
 // The forward/backward core is batched: it runs over a (possibly
 // block-diagonal) relational graph with per-graph node offsets and a

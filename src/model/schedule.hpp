@@ -2,7 +2,7 @@
 //
 // The engine and trainer both cut a batch of encoded graphs into contiguous
 // chunks, pack each chunk into one block-diagonal GraphBatch, and fan the
-// chunks out across OpenMP threads. Counting *graphs* per chunk balances
+// chunks out across worker threads. Counting *graphs* per chunk balances
 // nothing when graph sizes are skewed: one 10k-node graph costs ~100x a
 // 100-node one. Per-graph node/edge counts are already known at pack time,
 // so chunks are balanced by a linear work estimate instead (GRAPHOPT-style

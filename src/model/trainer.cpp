@@ -6,24 +6,22 @@
 // one block-diagonal GraphBatch and accumulates the summed gradient with a
 // single fused forward/backward — a fixed, serial FP order. Chunks run in
 // parallel (they are independent), and the per-chunk buffers are then
-// reduced in chunk order on one thread. No step depends on the OpenMP
-// thread count, so training is bitwise-reproducible across machines. (The
+// reduced in chunk order on one thread. No step depends on the thread
+// count, so training is bitwise-reproducible across machines. (The
 // pre-CSR trainer accumulated per *thread*, which was only reproducible
 // for a fixed thread count; the pre-cost trainer pinned 16 chunks, which
 // wasted cores on small batches and unbalanced skewed ones.)
 #include "model/trainer.hpp"
 
-#include <omp.h>
-
 #include <algorithm>
 #include <cmath>
-#include <exception>
 #include <numeric>
 
 #include "model/engine.hpp"
 #include "model/graph_batch.hpp"
 #include "model/schedule.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 
@@ -41,6 +39,10 @@ constexpr std::uint64_t kGradChunkCostTarget = 512;
 /// Hard ceiling on chunks per batch: bounds the per-chunk gradient-buffer
 /// memory (each chunk holds a full parameter-shaped accumulator).
 constexpr std::size_t kMaxGradChunks = 64;
+
+/// Records one streaming-load worker takes at a time: a few µs of decode
+/// each, so a chunk amortises the dynamic hand-out.
+constexpr std::size_t kLoadChunk = 16;
 
 double evaluate_rmse_us(InferenceEngine& engine,
                         const std::vector<TrainingSample>& samples,
@@ -86,8 +88,8 @@ class BatchStepper {
     const double grad_scale = 1.0 / static_cast<double>(len);
 
     // Cost-balanced chunk boundaries, a pure function of the batch's
-    // sample costs: identical on every machine, whatever omp does with the
-    // loop below. Doubling the target on cap overflow is deterministic too
+    // sample costs: identical on every machine, however the loop below is
+    // scheduled. Doubling the target on cap overflow is deterministic too
     // (it depends only on the same costs).
     std::uint64_t batch_cost = 0;
     for (const std::uint64_t c : costs) batch_cost += c;
@@ -105,8 +107,7 @@ class BatchStepper {
     }
 
     chunk_loss_.assign(num_chunks, 0.0);
-#pragma omp parallel for schedule(dynamic, 1)
-    for (std::size_t c = 0; c < num_chunks; ++c) {
+    parallel_for(num_chunks, 1, [&](std::size_t c, int) {
       const std::size_t lo = bounds_[c];
       const std::size_t hi = bounds_[c + 1];
       ChunkState& chunk = chunks_[c];
@@ -125,7 +126,7 @@ class BatchStepper {
       chunk_loss_[c] = model_.accumulate_gradients_batch(
           chunk.batch, chunk.aux, chunk.targets, grad_scale, chunk.grads,
           chunk.ws);
-    }
+    });
 
     // Ordered reduction: chunk 0 hosts the sum; losses and gradient
     // buffers are folded in ascending chunk index.
@@ -230,38 +231,6 @@ TrainResult train_model(ParaGraphModel& model, const SampleSet& set,
   return result;
 }
 
-namespace {
-
-/// Runs fn(i) for i in [lo, hi) across `threads` workers (0 = omp default)
-/// without letting an exception escape the parallel region: the failure at
-/// the lowest index — the one a sequential pass would have hit first — is
-/// rethrown after the join, so corrupt-record errors are deterministic.
-template <typename Fn>
-void parallel_load(std::size_t lo, std::size_t hi, int threads, Fn&& fn) {
-  std::exception_ptr first_error;
-  std::size_t first_error_index = hi;
-  const int team = threads > 0 ? threads : omp_get_max_threads();
-#pragma omp parallel for schedule(static) num_threads(team)
-  for (std::int64_t idx = static_cast<std::int64_t>(lo);
-       idx < static_cast<std::int64_t>(hi); ++idx) {
-    const auto i = static_cast<std::size_t>(idx);
-    try {
-      fn(i);
-    } catch (...) {
-#pragma omp critical(pg_trainer_parallel_load_error)
-      {
-        if (first_error == nullptr || i < first_error_index) {
-          first_error = std::current_exception();
-          first_error_index = i;
-        }
-      }
-    }
-  }
-  if (first_error) std::rethrow_exception(first_error);
-}
-
-}  // namespace
-
 TrainResult train_model_streaming(ParaGraphModel& model,
                                   const SampleStore& train_store,
                                   const SampleSet& holdout,
@@ -291,16 +260,15 @@ TrainResult train_model_streaming(ParaGraphModel& model,
   // dropped immediately; only two scalars per record stay resident.
   std::vector<std::uint64_t> sample_cost(n);
   std::vector<double> runtime_us(n);
-  {
-    // Per-iteration local sample: allocation is churned here, but the
-    // prepass runs once; the epoch loop below reuses its window slots.
-    parallel_load(0, n, config.load_threads, [&](std::size_t i) {
-      TrainingSample sample;
-      train_store.load(i, sample);
-      sample_cost[i] = schedule::graph_cost(sample.graph);
-      runtime_us[i] = sample.runtime_us;
-    });
-  }
+  // Per-iteration local sample: allocation is churned here, but the
+  // prepass runs once; the epoch loop below reuses its window slots. A
+  // corrupt record fails at its lowest index, as a sequential pass would.
+  parallel_for(n, kLoadChunk, [&](std::size_t i, int) {
+    TrainingSample sample;
+    train_store.load(i, sample);
+    sample_cost[i] = schedule::graph_cost(sample.graph);
+    runtime_us[i] = sample.runtime_us;
+  });
   double min_runtime = runtime_us.front();
   double max_runtime = min_runtime;
   for (const double r : runtime_us) {
@@ -329,8 +297,8 @@ TrainResult train_model_streaming(ParaGraphModel& model,
       // Fill the window: workers decode disjoint shards of the shuffled
       // order into fixed slots. load() is deterministic, so the window
       // contents — and everything downstream — are thread-independent.
-      parallel_load(seg_lo, seg_hi, config.load_threads, [&](std::size_t j) {
-        train_store.load(order[j], slots[j - seg_lo]);
+      parallel_for(seg_hi - seg_lo, kLoadChunk, [&](std::size_t j, int) {
+        train_store.load(order[seg_lo + j], slots[j]);
       });
 
       for (std::size_t start = seg_lo; start < seg_hi; start += batch) {

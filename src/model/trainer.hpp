@@ -1,9 +1,10 @@
 // Mini-batch trainer: Adam + MSE over fused GraphBatch chunks. Each batch
-// is split into a fixed number of contiguous chunks (independent of the
-// OpenMP thread count); every chunk runs one fused block-diagonal
-// forward/backward into its own gradient buffer, and the buffers are
-// reduced in chunk order. Training is therefore bitwise-reproducible across
-// machines and thread counts.
+// is split into contiguous chunks whose boundaries are a pure function of
+// the batch's per-sample costs (model/schedule.hpp), never of the thread
+// count; every chunk runs one fused block-diagonal forward/backward into
+// its own gradient buffer, and the buffers are reduced in chunk order.
+// Training is therefore bitwise-reproducible across machines and thread
+// counts.
 #pragma once
 
 #include <cstddef>
@@ -41,7 +42,7 @@ struct TrainResult {
 };
 
 /// Predictions (in microseconds) for a sample list; a thin wrapper over a
-/// one-shot InferenceEngine — fused-batch with per-thread workspaces,
+/// one-shot InferenceEngine — fused-batch with per-worker workspaces,
 /// clamped at the physical floor (0), and honouring the set's target
 /// transform (linear or log). Callers predicting repeatedly should hold
 /// their own engine so its workspace pool stays warm.
@@ -59,10 +60,6 @@ TrainResult train_model(ParaGraphModel& model, const SampleSet& set,
 struct StreamTrainConfig {
   TrainConfig base;
   std::size_t window = 4096;
-  /// Worker count for the parallel window fills and the cost prepass;
-  /// 0 = the OpenMP default. Loading is pure (SampleStore::load is
-  /// deterministic), so this knob never changes the trained model.
-  int load_threads = 0;
 };
 
 /// Trains by streaming epochs through a bounded window of samples decoded

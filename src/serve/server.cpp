@@ -5,7 +5,6 @@
 // write queues with gathered (single-syscall) flushes.
 #include "serve/server.hpp"
 
-#include <omp.h>
 #include <sys/epoll.h>
 #include <sys/uio.h>
 
@@ -17,6 +16,7 @@
 
 #include "io/pgraph_io.hpp"
 #include "support/env.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::serve {
 namespace {
@@ -632,15 +632,13 @@ std::vector<Server::Pending> Server::pop_batch() {
 }
 
 void Server::worker_loop(std::size_t /*worker_index*/) {
-  // Each worker owns its engine shard: InferenceEngine keys its per-thread
-  // state by OpenMP thread ids, which distinct std::threads share — one
-  // engine per worker keeps the workspace arenas disjoint. The OpenMP
-  // thread count is per thread and a new std::thread starts from the
-  // global default (OMP_NUM_THREADS or the core count), so the shard's
-  // team size is set here, on the worker itself, and before the engine
-  // sizes its per-thread pool from it. Left at the default, every shard's
+  // Each worker owns its engine shard: an engine is not thread-safe, so
+  // one engine per worker keeps the workspace arenas disjoint. The thread
+  // count is per thread and a new std::thread starts from the process
+  // default (OMP_NUM_THREADS or the core count), so the shard's team size
+  // is set here, on the worker itself. Left at the default, every shard's
   // first multi-chunk batch would open a team as wide as the machine.
-  omp_set_num_threads(static_cast<int>(config_.shard_threads));
+  set_thread_count(static_cast<int>(config_.shard_threads));
   model::InferenceEngine engine(*model_);
 
   std::vector<model::EncodedGraph> graphs;

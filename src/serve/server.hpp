@@ -33,10 +33,10 @@
 //                run ONE InferenceEngine::predict_batch over the coalesced
 //                graphs, queue each reply back on its own connection.
 //
-// Each worker owns a private InferenceEngine shard (engine per-thread state
-// is keyed by OpenMP thread ids, which std::threads share — sharding keeps
-// the arenas disjoint) and runs it on shard_threads OpenMP threads, 1 by
-// default, so the shards are the daemon's compute parallelism. Because the
+// Each worker owns a private InferenceEngine shard (an engine is not
+// thread-safe — sharding keeps the arenas disjoint) and runs it on
+// shard_threads threads (support/parallel.hpp), 1 by default, so the
+// shards are the daemon's compute parallelism. Because the
 // fused engine is bitwise-identical to predict_one regardless of how graphs
 // are coalesced, every reply is bitwise-equal to a single-threaded
 // in-process prediction no matter how the batching window cut the traffic
@@ -89,7 +89,7 @@ struct ServeConfig {
   std::size_t batch_max = 16;     // flush the batching window at N graphs...
   std::uint32_t batch_window_us = 200;  // ...or T microseconds, whichever first
   std::size_t workers = 1;        // InferenceEngine shards
-  // OpenMP threads inside each shard's engine; the daemon runs
+  // Threads inside each shard's engine; the daemon runs
   // io_threads + workers * shard_threads threads.
   std::size_t shard_threads = 1;
   std::size_t io_threads = 0;     // reactor threads; 0 = min(4, cores)

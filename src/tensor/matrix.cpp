@@ -1,9 +1,11 @@
 // Row-major float32 matrix ops; the vectorisable bodies (matmul, the
 // transpose-A accumulate and transpose-B product, column sums, segmented
 // mean) live in the runtime-dispatched SIMD kernel layer — see
-// tensor/simd.hpp for the bitwise-determinism contract. matmul is
-// OpenMP-parallel above a size threshold.
+// tensor/simd.hpp for the bitwise-determinism contract. matmul splits its
+// rows across threads above a size threshold.
 #include "tensor/matrix.hpp"
+
+#include <algorithm>
 
 #include "support/check.hpp"
 #include "support/parallel.hpp"
@@ -113,11 +115,16 @@ void matmul_into(Matrix& c, const Matrix& a, const Matrix& b) {
   const std::size_t m = a.rows();
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
-  const bool parallel = m * k * n > (1u << 20);
   // Dense/sparse-hybrid i-k-j body lives in the dispatched kernel layer;
-  // every level performs identical FP operations in identical order.
-  simd::kernels().matmul(a.data().data(), b.data().data(), c.data().data(), m,
-                         k, n, parallel);
+  // every level performs identical FP operations in identical order, and
+  // rows are independent, so the row split never changes a bit. Products
+  // above 2^20 multiply-adds split their rows across the team; smaller
+  // ones stay serial.
+  const std::size_t grain = m * k * n > (std::size_t{1} << 20) ? 1 : m;
+  parallel_for_blocks(m, grain, [&](std::size_t lo, std::size_t hi) {
+    simd::kernels().matmul(a.data().data() + lo * k, b.data().data(),
+                           c.data().data() + lo * n, hi - lo, k, n);
+  });
 }
 
 Matrix matmul_transpose_a(const Matrix& a, const Matrix& b) {

@@ -5,7 +5,7 @@
 //    accumulations happen in double where it matters (reductions).
 //  * matmul uses an i-k-j loop order so the inner loop is a contiguous
 //    saxpy, executed by the runtime-dispatched SIMD kernel layer
-//    (tensor/simd.hpp); an OpenMP split over rows kicks in for large
+//    (tensor/simd.hpp); a split over rows kicks in for large
 //    products. Model training parallelises over *graphs*, so the per-graph
 //    matmuls here stay serial unless used standalone.
 //  * Storage is 32-byte aligned with capacity padded to whole 8-float

@@ -85,9 +85,10 @@ struct RgatEdgeBackward {
 /// shapes before dispatch).
 struct KernelTable {
   /// C = A * B, i-k-j order with the dense/sparse per-row hybrid (zero-skip
-  /// for mostly-zero rows, branchless otherwise). C is fully written.
+  /// for mostly-zero rows, branchless otherwise). C is fully written, row
+  /// by row, so a caller may split the rows (matmul_into does).
   void (*matmul)(const float* a, const float* b, float* c, std::size_t m,
-                 std::size_t k, std::size_t n, bool parallel);
+                 std::size_t k, std::size_t n);
   /// C += A^T * B without materialising the transpose (kk-outer loop over
   /// A's rows, zero-skip on A entries). m = A.cols, k = A.rows, n = B.cols.
   /// A non-null `a_rows` gathers A: row kk of A is a[a_rows[kk] * m + :]

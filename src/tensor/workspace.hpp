@@ -17,8 +17,9 @@
 //     handed out at; num_slots()/bytes_reserved() expose growth so callers
 //     (and tests) can assert a hot loop has reached steady state.
 //
-// Not thread-safe: one Workspace per thread (the trainer and the
-// InferenceEngine each own a per-thread pool).
+// Not thread-safe: one Workspace per thread at a time (the trainer keeps
+// one per gradient chunk, the InferenceEngine one per parallel_for
+// worker).
 #pragma once
 
 #include <cstddef>

@@ -2,14 +2,12 @@
 //   * embed_batch row stability — every batched row is bit-for-bit the
 //     graph embedded alone, across batch sizes and SIMD levels, so rows are
 //     stable ANN keys however their graphs were batched;
-//   * nn-descent determinism — same seed, any OpenMP thread count, byte-
+//   * nn-descent determinism — same seed, any thread count, byte-
 //     identical .pgann output;
 //   * search vs brute force — small-N fallback exactness and recall;
 //   * .pgann round trips, checkpoint-fingerprint staleness rejection, and
 //     reader rejection of corrupt containers with section + offset context.
 #include <gtest/gtest.h>
-
-#include <omp.h>
 
 #include <algorithm>
 #include <array>
@@ -24,6 +22,7 @@
 #include "graph/builder.hpp"
 #include "model/encoding.hpp"
 #include "model/engine.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/simd.hpp"
@@ -136,14 +135,14 @@ TEST(AnnIndex, BuildIsByteIdenticalForAnyThreadCount) {
   const auto embeddings = random_embeddings(600, 12, 77);
   ann::AnnConfig config;
   config.k = 6;
-  const int saved = omp_get_max_threads();
+  const int saved = thread_count();
   auto build_bytes = [&](int threads) {
-    omp_set_num_threads(threads);
+    set_thread_count(threads);
     return index_bytes(ann::AnnIndex::build(embeddings, config, 123));
   };
   const std::string one = build_bytes(1);
   const std::string four = build_bytes(4);
-  omp_set_num_threads(saved);
+  set_thread_count(saved);
   EXPECT_EQ(one, four);
 }
 

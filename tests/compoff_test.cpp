@@ -1,12 +1,11 @@
 // Tests for the COMPOFF baseline: feature extraction and the MLP cost model.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <vector>
 
 #include "compoff/compoff.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 #include "support/stats.hpp"
 
 namespace pg::compoff {
@@ -99,20 +98,20 @@ TEST(CompoffModel, PredictionsClampedAtZero) {
 }
 
 TEST(CompoffModel, BatchAfterThreadCountIncreaseMatchesPredictUs) {
-  // The workspace pool is sized at construction; a later, larger
-  // omp_set_num_threads must not hand a point to a thread id past it.
-  const int saved_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
+  // A thread count raised after construction and training still predicts
+  // every point, bit for bit as predict_us does.
+  const int saved_threads = thread_count();
+  set_thread_count(1);
   CompoffConfig config;
   config.epochs = 5;
   CompoffModel model(config, kNumFeatures);
   const auto points = synthetic_points(64);
   model.train(points);
 
-  omp_set_num_threads(3);
+  set_thread_count(3);
   std::vector<double> batched(points.size());
   model.predict_batch_us(points, batched);
-  omp_set_num_threads(saved_threads);
+  set_thread_count(saved_threads);
   for (std::size_t i = 0; i < points.size(); ++i)
     EXPECT_EQ(batched[i], model.predict_us(points[i])) << i;
 }

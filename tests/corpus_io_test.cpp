@@ -24,6 +24,7 @@
 #include "model/checkpoint.hpp"
 #include "model/encoding.hpp"
 #include "model/trainer.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::io {
 namespace {
@@ -255,8 +256,12 @@ TEST(CorpusIo, ParallelLoadMatchesSequentialAndIsThreadCountInvariant) {
     const StoredSampleSet sequential = read_sample_set(is);
 
     DatasetView view(bytes.data(), bytes.size());
-    const StoredSampleSet one = load_sample_set(view, 1);
-    const StoredSampleSet many = load_sample_set(view, 3);
+    const int saved_threads = thread_count();
+    set_thread_count(1);
+    const StoredSampleSet one = load_sample_set(view);
+    set_thread_count(3);
+    const StoredSampleSet many = load_sample_set(view);
+    set_thread_count(saved_threads);
 
     // Serializing the whole loaded set covers samples, order, split
     // partition, and scalers in one comparison.
@@ -475,17 +480,19 @@ TEST(StreamingTrainer, LoadThreadCountNeverChangesTheModel) {
   const auto set = make_set(17, 5, 14);
   const model::VectorSampleStore store(set.train);
   std::string want;
+  const int saved_threads = thread_count();
   for (int threads : {1, 3}) {
+    set_thread_count(threads);
     model::ParaGraphModel streamed(tiny_model());
     model::StreamTrainConfig stream;
     stream.base = small_train_config();
     stream.window = 8;
-    stream.load_threads = threads;
     (void)model::train_model_streaming(streamed, store, set, stream);
     const std::string got = checkpoint_bytes(streamed, set);
     if (want.empty()) want = got;
     EXPECT_EQ(got, want) << "threads " << threads;
   }
+  set_thread_count(saved_threads);
 }
 
 TEST(StreamingTrainer, TrainsOutOfCoreFromAnMmappedV2Corpus) {

@@ -6,8 +6,6 @@
 // thread-count-independent training.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <array>
 #include <vector>
 
@@ -18,6 +16,7 @@
 #include "model/graph_batch.hpp"
 #include "model/trainer.hpp"
 #include "support/check.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::model {
 namespace {
@@ -179,27 +178,27 @@ TEST(InferenceEngine, MultiChunkBatchMatchesPredictOneBitwise) {
 }
 
 TEST(InferenceEngine, BatchAfterThreadCountIncreaseMatchesOneThread) {
-  // The engine sizes its per-thread pool at construction; a later, larger
-  // omp_set_num_threads must not hand a chunk to a thread id past the pool.
-  // 67 graphs is more than one fuse chunk, so a multi-thread plan fans out.
+  // The engine's worker pool grows when the thread count rises after its
+  // first batch. 67 graphs is more than one fuse chunk, so a multi-thread
+  // plan fans out.
   ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 17});
   auto [graphs, aux] = make_batch(67);
-  const int saved_threads = omp_get_max_threads();
-  omp_set_num_threads(1);
+  const int saved_threads = thread_count();
+  set_thread_count(1);
   InferenceEngine engine(m);
   std::vector<double> reference(graphs.size());
   engine.predict_batch(graphs, aux, reference);
 
-  omp_set_num_threads(3);
+  set_thread_count(3);
   std::vector<double> out(graphs.size());
   engine.predict_batch(graphs, aux, out);
-  omp_set_num_threads(saved_threads);
+  set_thread_count(saved_threads);
   EXPECT_EQ(out, reference);
 }
 
 TEST(Trainer, TrainingIsIndependentOfThreadCount) {
-  // The fixed-chunk fused gradient accumulation must make train_model
-  // bitwise-reproducible whatever OpenMP does: same history, same final
+  // The cost-chunked fused gradient accumulation must make train_model
+  // bitwise-reproducible whatever the thread count: same history, same final
   // validation predictions for 1 thread and for several.
   SampleSet set;
   set.target_scaler.fit_bounds(0.0, 1000.0);
@@ -219,15 +218,15 @@ TEST(Trainer, TrainingIsIndependentOfThreadCount) {
   config.epochs = 3;
   config.batch_size = 4;
 
-  const int saved_threads = omp_get_max_threads();
+  const int saved_threads = thread_count();
   auto run = [&](int threads) {
-    omp_set_num_threads(threads);
+    set_thread_count(threads);
     ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 21});
     return train_model(m, set, config);
   };
   const TrainResult one = run(1);
   const TrainResult three = run(3);
-  omp_set_num_threads(saved_threads);
+  set_thread_count(saved_threads);
 
   ASSERT_EQ(one.history.size(), three.history.size());
   for (std::size_t e = 0; e < one.history.size(); ++e) {

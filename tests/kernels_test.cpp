@@ -89,9 +89,9 @@ TEST(KernelParity, MatmulAllShapesAndDensities) {
       Matrix c_scalar(m, n, 0.5f);  // pre-filled garbage: must be overwritten
       Matrix c_simd(m, n, -0.5f);
       scalar_table().matmul(a.data().data(), b.data().data(),
-                            c_scalar.data().data(), m, k, n, false);
+                            c_scalar.data().data(), m, k, n);
       best_table().matmul(a.data().data(), b.data().data(),
-                          c_simd.data().data(), m, k, n, false);
+                          c_simd.data().data(), m, k, n);
       expect_bytes_equal(c_scalar, c_simd, "matmul");
     }
   }

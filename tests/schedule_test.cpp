@@ -6,8 +6,6 @@
 // mixes.
 #include <gtest/gtest.h>
 
-#include <omp.h>
-
 #include <array>
 #include <numeric>
 #include <vector>
@@ -17,6 +15,7 @@
 #include "model/paragraph_model.hpp"
 #include "model/schedule.hpp"
 #include "nn/relational_graph.hpp"
+#include "support/parallel.hpp"
 
 namespace pg::model {
 namespace {
@@ -194,8 +193,8 @@ std::vector<MixFixture> all_mixes() {
 
 class EngineParity : public ::testing::Test {
  protected:
-  void SetUp() override { saved_threads_ = omp_get_max_threads(); }
-  void TearDown() override { omp_set_num_threads(saved_threads_); }
+  void SetUp() override { saved_threads_ = thread_count(); }
+  void TearDown() override { set_thread_count(saved_threads_); }
   int saved_threads_ = 1;
 };
 
@@ -203,14 +202,14 @@ TEST_F(EngineParity, BitwiseAcrossThreadCountsForAllMixes) {
   ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 21});
   for (const MixFixture& mix : all_mixes()) {
     // Reference: 1 thread.
-    omp_set_num_threads(1);
+    set_thread_count(1);
     std::vector<double> reference(mix.graphs.size());
     {
       InferenceEngine engine(m);
       engine.predict_batch(mix.graphs, mix.aux, reference);
     }
     for (int threads : {1, 2, 3}) {
-      omp_set_num_threads(threads);
+      set_thread_count(threads);
       InferenceEngine engine(m);
       std::vector<double> out(mix.graphs.size());
       engine.predict_batch(mix.graphs, mix.aux, out);
@@ -249,7 +248,7 @@ TEST_F(EngineParity, GiantGraphRunsInIntraParallelPhase) {
   // still match the 1-thread reference bitwise (covered above). On a
   // 1-core runner the engine never promises an intra phase — chunk-level
   // serial execution already uses the whole machine — so gate on threads.
-  if (omp_get_max_threads() < 2) omp_set_num_threads(2);
+  if (thread_count() < 2) set_thread_count(2);
   ParaGraphModel m(ModelConfig{.hidden_dim = 8, .seed = 33});
   std::vector<std::size_t> sizes(8, 20);
   sizes[0] = 1500;

@@ -1,14 +1,21 @@
-// Tests for src/support: rng, stats, table, csv, env, check.
+// Tests for src/support: rng, stats, table, csv, env, check, parallel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <stdexcept>
+#include <string>
+#include <thread>
+#include <vector>
 
 #include "support/check.hpp"
 #include "support/csv.hpp"
 #include "support/env.hpp"
+#include "support/parallel.hpp"
 #include "support/rng.hpp"
 #include "support/stats.hpp"
 #include "support/table.hpp"
@@ -295,6 +302,105 @@ TEST(Env, ScaleNames) {
   EXPECT_STREQ(to_string(RunScale::kSmoke), "smoke");
   EXPECT_STREQ(to_string(RunScale::kDefault), "default");
   EXPECT_STREQ(to_string(RunScale::kFull), "full");
+}
+
+// ------------------------------------------------------------- parallel ---
+
+/// Restores the calling thread's thread count when a test ends.
+class ParallelFor : public ::testing::Test {
+ protected:
+  void TearDown() override { set_thread_count(saved_threads_); }
+  int saved_threads_ = thread_count();
+};
+
+TEST_F(ParallelFor, RethrowsTheLowestIndexExceptionAtOneAndFourThreads) {
+  for (int threads : {1, 4}) {
+    set_thread_count(threads);
+    std::vector<char> ran(1000, 0);
+    try {
+      parallel_for(ran.size(), 7, [&](std::size_t i, int) {
+        ran[i] = 1;
+        // Index 300 throws last, after higher failing indices have thrown.
+        if (i == 300)
+          std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        if (i == 300 || i == 301 || i == 900)
+          throw std::runtime_error(std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at " << threads << " threads";
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "300") << threads << " threads";
+    }
+    // Every index below the failure ran, as in a sequential pass.
+    for (std::size_t i = 0; i <= 300; ++i)
+      ASSERT_EQ(ran[i], 1) << i << " at " << threads << " threads";
+  }
+}
+
+TEST_F(ParallelFor, NestedCallRunsInlineOnItsCaller) {
+  set_thread_count(4);
+  constexpr std::size_t kOuter = 16;
+  std::vector<char> inline_ok(kOuter, 0);
+  std::vector<int> inner_threads(kOuter, 0);
+  parallel_for(kOuter, 1, [&](std::size_t i, int) {
+    const std::thread::id caller = std::this_thread::get_id();
+    inner_threads[i] = thread_count();
+    std::vector<std::size_t> order;
+    bool ok = true;
+    parallel_for(5, 1, [&](std::size_t j, int worker) {
+      order.push_back(j);
+      ok = ok && worker == 0 && std::this_thread::get_id() == caller;
+    });
+    inline_ok[i] = ok && order == std::vector<std::size_t>{0, 1, 2, 3, 4};
+  });
+  for (std::size_t i = 0; i < kOuter; ++i) {
+    EXPECT_EQ(inline_ok[i], 1) << i;
+    EXPECT_EQ(inner_threads[i], 1) << i;
+  }
+}
+
+TEST_F(ParallelFor, OneThreadRunsAscendingOnTheCallingThread) {
+  set_thread_count(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::vector<std::size_t> order;
+  bool same_thread = true;
+  int max_worker = 0;
+  parallel_for(100, 8, [&](std::size_t i, int worker) {
+    order.push_back(i);
+    same_thread = same_thread && std::this_thread::get_id() == caller;
+    max_worker = std::max(max_worker, worker);
+  });
+  ASSERT_EQ(order.size(), 100u);
+  for (std::size_t i = 0; i < order.size(); ++i) EXPECT_EQ(order[i], i);
+  EXPECT_TRUE(same_thread);
+  EXPECT_EQ(max_worker, 0);
+}
+
+TEST_F(ParallelFor, WorkerIndexStaysBelowThreadCount) {
+  for (int threads : {1, 2, 3, 4}) {
+    set_thread_count(threads);
+    const int team = thread_count();
+    std::vector<int> worker_of(2000, -1);
+    parallel_for(worker_of.size(), 3, [&](std::size_t i, int worker) {
+      worker_of[i] = worker;
+    });
+    for (std::size_t i = 0; i < worker_of.size(); ++i) {
+      EXPECT_GE(worker_of[i], 0) << i;
+      EXPECT_LT(worker_of[i], team) << i;
+    }
+  }
+}
+
+TEST_F(ParallelFor, BlocksCoverTheRangeOnce) {
+  set_thread_count(4);
+  std::vector<int> hits(1001, 0);
+  parallel_for_blocks(hits.size(), 10, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) ++hits[i];
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) EXPECT_EQ(hits[i], 1) << i;
+}
+
+TEST_F(ParallelFor, ThreadCountBelowOneThrows) {
+  EXPECT_THROW(set_thread_count(0), InternalError);
 }
 
 }  // namespace

@@ -23,8 +23,6 @@
 // Exit codes: 0 success, 1 runtime/input failure (bad file, parse error),
 // 2 usage error. All binary-format failures surface as io::FormatError with
 // a one-line message — never a crash.
-#include <omp.h>
-
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -52,6 +50,7 @@
 #include "sim/platform.hpp"
 #include "support/check.hpp"
 #include "support/env.hpp"
+#include "support/parallel.hpp"
 #include "tensor/simd.hpp"
 
 namespace {
@@ -290,12 +289,11 @@ int cmd_encode(const Args& args) {
 // --- predict --------------------------------------------------------------
 
 /// Resolves the worker-thread count for predict/corpus: --threads beats
-/// PARAGRAPH_THREADS beats the OpenMP default. Must run before any engine
-/// or generator is built (their per-thread pools size off the OpenMP max).
+/// PARAGRAPH_THREADS beats the OpenMP default.
 void apply_thread_override(const Args& args) {
   std::int64_t threads = args.int_option("--threads", 0);
   if (threads <= 0) threads = env_thread_count();
-  if (threads > 0) omp_set_num_threads(static_cast<int>(threads));
+  if (threads > 0) set_thread_count(static_cast<int>(threads));
 }
 
 /// Resolves the kernel dispatch level for predict/corpus: --simd beats
